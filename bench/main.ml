@@ -6,7 +6,7 @@
      dune exec bench/main.exe -- table2    -- a single experiment
      dune exec bench/main.exe -- --bechamel -- Bechamel micro-benchmarks
 
-   Experiments: table1 table2 table3 dispatch fig1 fig24 ablation sampling
+   Experiments: table1 table2 table3 fig1 fig24 ablation sampling
    inject fuzz overhead profiler supervision workload validate.
    [--gate-profiler]
    exits nonzero when the profiler section's overhead exceeds its budget.
@@ -53,16 +53,15 @@ let drive (iface : Specsim.Iface.t) budget =
 
 (* Measured MIPS of one (target, buildset, kernel) after warmup: best of
    [reps] runs (the machine may be shared; peak throughput is the stable
-   statistic). [chain]/[site_cache] select the block-engine dispatch
-   configuration (defaults on — see the dispatch experiment). *)
-let measure_mips ?chain ?site_cache ?absint (t : Workload.target) ~buildset
+   statistic). *)
+let measure_mips ?absint (t : Workload.target) ~buildset
     (k : Vir.Kernels.sized) =
   let warm = if !quick then 5_000 else 20_000 in
   let budget = if !quick then 80_000 else 150_000 in
   let reps = if !quick then 2 else 4 in
   let best = ref 0. in
   for _ = 1 to reps do
-    let l = Workload.load ?chain ?site_cache ?absint t ~buildset k.program in
+    let l = Workload.load ?absint t ~buildset k.program in
     ignore (drive l.iface warm);
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
@@ -334,99 +333,6 @@ let table3 () =
   print_endline
     "(signs and ordering are the reproduction target: block-calls pay back,\n\
     \ extra information and extra calls cost)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Dispatch: the block engine's translation cache, A/B                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Before = chaining and site sharing disabled (every dispatch probes
-   the block hash table, every block compiles its own sites, loads and
-   stores cross the paged-memory abstraction) — the pre-translation-
-   cache engine. After = the defaults. The rates come from a separate
-   counted pass over the same kernels. *)
-let dispatch () =
-  print_endline
-    "=== Dispatch: block-engine translation cache (chaining, site sharing, \
-     per-site TLB) ===";
-  let block_rows =
-    List.filter_map
-      (fun (bs, _) ->
-        if String.length bs >= 5 && String.equal (String.sub bs 0 5) "block"
-        then Some bs
-        else None)
-      paper_table2
-  in
-  let stat_budget = if !quick then 30_000 else 100_000 in
-  let rate a b =
-    if a + b = 0 then 0. else 100. *. float_of_int a /. float_of_int (a + b)
-  in
-  Printf.printf "%-20s %-6s %8s %8s %8s %7s %7s %12s\n" "interface" "isa"
-    "before" "after" "speedup" "chain%" "blkhit%" "site-reuse";
-  let sections =
-    List.map
-      (fun bs ->
-        let per_isa =
-          List.map
-            (fun (t : Workload.target) ->
-              let before =
-                geomean
-                  (List.map
-                     (fun k ->
-                       measure_mips ~chain:false ~site_cache:false t
-                         ~buildset:bs k)
-                     (kernels ()))
-              in
-              let after =
-                geomean
-                  (List.map (fun k -> measure_mips t ~buildset:bs k) (kernels ()))
-              in
-              let bh = ref 0 and bc = ref 0 in
-              let ct = ref 0 and cm = ref 0 in
-              let sh = ref 0 and sc = ref 0 in
-              List.iter
-                (fun (k : Vir.Kernels.sized) ->
-                  let l = Workload.load t ~buildset:bs k.program in
-                  ignore (drive l.iface stat_budget);
-                  let s : Specsim.Iface.stats = l.iface.stats in
-                  bh := !bh + s.block_hits;
-                  bc := !bc + s.blocks_compiled;
-                  ct := !ct + s.chain_taken;
-                  cm := !cm + s.chain_miss;
-                  sh := !sh + s.site_cache_hits;
-                  sc := !sc + s.sites_compiled)
-                (kernels ());
-              let speedup = if before <= 0. then 0. else after /. before in
-              Printf.printf
-                "%-20s %-6s %8.2f %8.2f %7.2fx %6.1f%% %6.1f%% %6d/%-5d\n" bs
-                t.tname before after speedup (rate !ct !cm) (rate !bh !bc) !sh
-                !sc;
-              ( t.tname,
-                Obs.Export.Obj
-                  [
-                    ("mips_before", Obs.Export.Float before);
-                    ("mips_after", Obs.Export.Float after);
-                    ("speedup", Obs.Export.Float speedup);
-                    ("chain_taken", Obs.Export.Int (Int64.of_int !ct));
-                    ("chain_miss", Obs.Export.Int (Int64.of_int !cm));
-                    ("chain_rate_pct", Obs.Export.Float (rate !ct !cm));
-                    ("block_hits", Obs.Export.Int (Int64.of_int !bh));
-                    ("blocks_compiled", Obs.Export.Int (Int64.of_int !bc));
-                    ("block_hit_rate_pct", Obs.Export.Float (rate !bh !bc));
-                    ("site_cache_hits", Obs.Export.Int (Int64.of_int !sh));
-                    ("sites_compiled", Obs.Export.Int (Int64.of_int !sc));
-                    ("site_reuse_rate_pct", Obs.Export.Float (rate !sh !sc));
-                  ] ))
-            Workload.targets
-        in
-        (bs, Obs.Export.Obj per_isa))
-      block_rows
-  in
-  add_json "dispatch" (Obs.Export.Obj sections);
-  print_endline
-    "(before = --no-chain --no-site-cache: hash-probe dispatch, per-block \
-     site\n compilation, abstracted memory; after = chained dispatch through \
-     the\n successor caches, shared (instr,encoding) sites, per-site page \
-     TLBs)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1: the five decoupled organizations, demonstrated             *)
@@ -1676,7 +1582,6 @@ let () =
     if want "table1" then table1 ();
     if want "table2" then table2 ();
     if want "table3" then table3 ();
-    if want "dispatch" then dispatch ();
     if want "fig1" then fig1 ();
     if want "fig24" then fig24 ();
     if want "ablation" then ablation ();

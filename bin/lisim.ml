@@ -547,24 +547,6 @@ let run_cmd =
              and write them to FILE at the end of the run (format per \
              --format; most recent events win when the ring wraps).")
   in
-  let no_chain =
-    Arg.(
-      value & flag
-      & info [ "no-chain" ]
-          ~doc:
-            "Disable direct block chaining: every block dispatch probes the \
-             block hash table (the pre-translation-cache behaviour, for A/B \
-             comparison).")
-  in
-  let no_site_cache =
-    Arg.(
-      value & flag
-      & info [ "no-site-cache" ]
-          ~doc:
-            "Disable the shared (instruction, encoding) site cache and the \
-             per-site memory fast paths: every block compiles its own sites \
-             (the pre-translation-cache behaviour, for A/B comparison).")
-  in
   let no_absint =
     Arg.(
       value & flag
@@ -582,8 +564,7 @@ let run_cmd =
           ~doc:
             "Run under the supervised execution runtime: a step_all shadow \
              verifies every slice, and engine misbehaviour demotes the \
-             interface down the chain / site-cache / step_all ladder \
-             instead of aborting.")
+             interface to the step_all reference instead of aborting.")
   in
   let mutate_r =
     Arg.(
@@ -595,14 +576,13 @@ let run_cmd =
              demotion ladder.")
   in
   let run_supervised (t : Workload.target) (k : Vir.Kernels.sized) ~buildset
-      ~budget ~deadline ~mutate ~chain ~site_cache (obs : Obs.t option) =
+      ~budget ~deadline ~mutate (obs : Obs.t option) =
     let spec = Lazy.force t.spec in
     let stats = Option.map (fun (o : Obs.t) -> Super.Supervisor.of_registry o.Obs.reg) obs in
     let oses = ref [] in
     let load st = oses := (st, Workload.load_image t k.program st) :: !oses in
     let session =
-      Super.Degrade.create ?obs ?stats ?mutate ~chain ~site_cache ~spec
-        ~buildset ~load ()
+      Super.Degrade.create ?obs ?stats ?mutate ~spec ~buildset ~load ()
     in
     let r = Super.Degrade.run ?deadline ~budget session in
     let sst = Super.Degrade.shadow_state session in
@@ -636,7 +616,7 @@ let run_cmd =
     code
   in
   let run isa buildset kernel max_instructions max_seconds stats trace_out
-      trace_cap format no_chain no_site_cache no_absint supervised mutate
+      trace_cap format no_absint supervised mutate
       metrics_out metrics_interval =
     let t = Workload.find_target isa in
     let k = find_kernel kernel in
@@ -657,7 +637,7 @@ let run_cmd =
       in
       let code =
         run_supervised t k ~buildset ~budget:max_instructions ~deadline ~mutate
-          ~chain:(not no_chain) ~site_cache:(not no_site_cache) obs
+          obs
       in
       (match obs with Some o when stats -> print_counters o | _ -> ());
       (match obs with Some o -> close_metrics metrics o | None -> ());
@@ -671,8 +651,7 @@ let run_cmd =
          supervising shadow would just corrupt the run)"
     | None -> ());
     let l =
-      Workload.load ~chain:(not no_chain) ~site_cache:(not no_site_cache)
-        ~absint:(not no_absint) ?obs t ~buildset k.program
+      Workload.load ~absint:(not no_absint) ?obs t ~buildset k.program
     in
     let on_slice =
       match (metrics, obs) with
@@ -729,7 +708,7 @@ let run_cmd =
     Term.(
       const run $ isa_arg $ buildset_arg $ kernel_arg $ max_instrs
       $ max_seconds $ stats_flag $ trace_out $ trace_cap_arg
-      $ format_arg ~default:"chrome" $ no_chain $ no_site_cache $ no_absint
+      $ format_arg ~default:"chrome" $ no_absint
       $ supervised $ mutate_r $ metrics_out_arg $ metrics_interval_arg)
 
 (* ---------------- profile ----------------------------------------- *)
@@ -1259,20 +1238,6 @@ let fuzz_cmd =
       & info [ "out" ] ~docv:"DIR"
           ~doc:"Directory reproducer files are written into.")
   in
-  let no_chain =
-    Arg.(
-      value & flag
-      & info [ "no-chain" ]
-          ~doc:"Fuzz candidate block engines with successor chaining \
-                disabled (A/B against the cached engine).")
-  in
-  let no_site =
-    Arg.(
-      value & flag
-      & info [ "no-site-cache" ]
-          ~doc:"Fuzz candidate block engines with the shared site cache \
-                and memory fast paths disabled.")
-  in
   let mutate =
     Arg.(
       value & opt (some string) None
@@ -1320,29 +1285,27 @@ let fuzz_cmd =
              FILE — where the generated programs actually spent their \
              instructions.")
   in
-  let run isa seed budget max_instrs replay out no_chain no_site mutate journal
+  let run isa seed budget max_instrs replay out mutate journal
       resume quarantine metrics_out metrics_interval flame_out jobs =
     let jobs = resolve_jobs jobs in
     let mutate = Option.map parse_mutation mutate in
-    let cfg =
-      {
-        Fuzz.Oracle.default_config with
-        chain = not no_chain;
-        site_cache = not no_site;
-        mutate;
-        max_instrs;
-      }
-    in
+    let cfg = { Fuzz.Oracle.default_config with mutate; max_instrs } in
     match replay with
     | Some path ->
-      let r = Fuzz.Repro.load ~path in
+      let r =
+        try Fuzz.Repro.load ~path with
+        | Fuzz.Repro.Bad_repro msg ->
+          Machine.Sim_error.raisef ~component:"cli" ~context:[ ("replay", path) ]
+            "malformed reproducer: %s" msg
+        | Sys_error msg ->
+          Machine.Sim_error.raisef ~component:"cli" ~context:[ ("replay", path) ]
+            "cannot read reproducer: %s" msg
+      in
       let rcfg = r.Fuzz.Repro.r_cfg in
       let rcfg =
         {
           rcfg with
-          Fuzz.Oracle.chain = rcfg.Fuzz.Oracle.chain && not no_chain;
-          site_cache = rcfg.Fuzz.Oracle.site_cache && not no_site;
-          mutate =
+          Fuzz.Oracle.mutate =
             (match mutate with Some _ -> mutate | None -> rcfg.Fuzz.Oracle.mutate);
         }
       in
@@ -1464,8 +1427,8 @@ let fuzz_cmd =
           Obs crossing counts compared at every sync point), and shrink \
           any divergence to a minimal deterministic reproducer.")
     Term.(
-      const run $ isa $ seed $ budget $ max_instrs $ replay $ out $ no_chain
-      $ no_site $ mutate $ journal $ resume $ quarantine $ metrics_out_arg
+      const run $ isa $ seed $ budget $ max_instrs $ replay $ out $ mutate
+      $ journal $ resume $ quarantine $ metrics_out_arg
       $ metrics_interval_arg $ flame_out $ jobs_arg)
 
 let () =

@@ -155,8 +155,8 @@ let dispatch_invariant_violation (st : State.t) ~want ~got =
 (* Synthesis                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
-    ?(site_cache = true) ?(absint = true) ?mutate ?obs ?st (spec : Lis.Spec.t)
+let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(absint = true)
+    ?mutate ?obs ?st (spec : Lis.Spec.t)
     (bs_name : string) : Iface.t =
   let bs = Lis.Spec.find_buildset spec bs_name in
   let st = match st with Some s -> s | None -> Lis.Spec.make_machine spec in
@@ -358,12 +358,6 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     di.fault <- st.fault
   in
 
-  let step di k =
-    load_frame di;
-    exec_items di ep_items.(k);
-    save_frame di
-  in
-
   let auto_checkpoint (di : Di.t) =
     match journal with
     | None -> ()
@@ -372,7 +366,150 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       Specul.auto_trim j ~window:spec_window
   in
 
+  (* --- observability --------------------------------------------------- *)
+  (* Instrumentation is selected here, at synthesis time — the
+     compiled-in hook pattern. Without a full [obs] context the
+     entrypoint runner is the plain item loop, no ring hook is installed
+     and every closure below is the uninstrumented one: no flag tests,
+     no extra indirection, the zero-overhead guarantee. With a full
+     context every entrypoint call and engine segment is counted and
+     timed into log2 histograms, and one event per instruction (or per
+     block) goes to the trace ring when one is attached. Profile-only
+     contexts skip all of this: the profiler attribution wrappers further
+     down are their whole instrumentation. *)
+  let full_obs = match obs with Some o when o.Obs.full -> Some o | _ -> None in
+  let ring = match full_obs with Some o -> o.Obs.ring | None -> None in
   let n_eps = Array.length ep_items in
+  (* [exec_ep di k] runs entrypoint [k]: the one crossing [run_one] and
+     [step] are built from. [observe_block] wraps the block engine's
+     [run_block]. *)
+  let exec_ep, observe_block =
+    match full_obs with
+    | None -> ((fun di k -> exec_items di ep_items.(k)), fun run_block -> run_block)
+    | Some (o : Obs.t) ->
+      let module R = Obs.Registry in
+      let reg = o.Obs.reg in
+      let crossings = R.counter reg "synth.entrypoint_calls" in
+      let ep_names = Array.map fst bs.bs_entrypoints in
+      let ep_calls =
+        Array.map (fun nm -> R.counter reg ("synth.ep." ^ nm ^ ".calls")) ep_names
+      in
+      let ep_hist =
+        Array.map (fun nm -> R.histogram reg ("synth.ep." ^ nm ^ ".ns")) ep_names
+      in
+      let seg_calls =
+        Array.map
+          (fun nm -> R.counter reg ("synth.seg." ^ nm ^ ".calls"))
+          [| "fetch"; "decode"; "ir" |]
+      in
+      let seg_hist =
+        Array.map
+          (fun nm -> R.histogram reg ("synth.seg." ^ nm ^ ".ns"))
+          [| "fetch"; "decode"; "ir" |]
+      in
+      let block_hist = R.histogram reg "synth.block.ns" in
+      (* Fused-closure accounting: in per-instruction modes every
+         IR-bearing segment holds one eagerly-compiled closure per
+         instruction; in block mode closures are specialized per site
+         and cached with the block. *)
+      let n_code_segs =
+        Array.fold_left
+          (fun acc items ->
+            Array.fold_left
+              (fun acc item ->
+                match item with I_fetch -> acc | I_decode _ | I_chunk _ -> acc + 1)
+              acc items)
+          0 ep_items
+      in
+      R.probe reg "core.instrs_executed" (fun () ->
+          R.Int (Int64.to_int stats.Iface.instrs_executed));
+      (* block-cache gauges exist only where a block cache does, so a
+         block pass sharing a registry with a per-instruction primary
+         interface contributes them without fighting over names *)
+      if bs.bs_block then begin
+        R.probe reg "core.block_cache.hits" (fun () ->
+            R.Int stats.Iface.block_hits);
+        R.probe reg "core.block_cache.compiled" (fun () ->
+            R.Int stats.Iface.blocks_compiled);
+        R.probe reg "core.block_cache.invalidations" (fun () ->
+            R.Int stats.Iface.block_invalidations);
+        R.probe reg "core.block_cache.chain_taken" (fun () ->
+            R.Int stats.Iface.chain_taken);
+        R.probe reg "core.block_cache.chain_miss" (fun () ->
+            R.Int stats.Iface.chain_miss);
+        R.probe reg "core.block_cache.site_cache_hits" (fun () ->
+            R.Int stats.Iface.site_cache_hits);
+        R.probe reg "core.block_cache.stable_blocks" (fun () ->
+            R.Int stats.Iface.stable_blocks)
+      end;
+      R.probe reg "core.absint_ns" (fun () -> R.Int stats.Iface.absint_ns);
+      if not bs.bs_block then
+        R.probe reg "core.absint_fastpath_classes" (fun () ->
+            R.Int stats.Iface.fastpath_classes);
+      R.probe reg "core.fused_closures_compiled" (fun () ->
+          R.Int
+            (if bs.bs_block then stats.Iface.sites_compiled
+             else n_code_segs * n_instrs));
+      R.probe reg "core.fused_closure_reuse" (fun () ->
+          R.Int
+            (if bs.bs_block then
+               max 0
+                 (Int64.to_int stats.Iface.instrs_executed
+                 - stats.Iface.sites_compiled)
+             else
+               max 0
+                 (seg_calls.(1).R.n + seg_calls.(2).R.n - (n_code_segs * n_instrs))));
+      (match journal with Some j -> Specul.register_obs j o | None -> ());
+      let exec_item_obs di item =
+        let k = match item with I_fetch -> 0 | I_decode _ -> 1 | I_chunk _ -> 2 in
+        let t0 = Obs.Clock.now_ns () in
+        exec_item di item;
+        let dt = Obs.Clock.elapsed_ns t0 in
+        R.incr seg_calls.(k);
+        Obs.Hist.record seg_hist.(k) dt
+      in
+      (* one observed entrypoint crossing: the timed unit of Table III *)
+      let exec_ep_obs di k =
+        let t0 = Obs.Clock.now_ns () in
+        let items = ep_items.(k) in
+        let n = Array.length items in
+        let rec go i =
+          if i < n && not st.halted then begin
+            exec_item_obs di items.(i);
+            go (i + 1)
+          end
+        in
+        go 0;
+        let dt = Obs.Clock.elapsed_ns t0 in
+        R.incr crossings;
+        R.incr ep_calls.(k);
+        Obs.Hist.record ep_hist.(k) dt
+      in
+      let observe_block run_block () =
+        let t0 = Obs.Clock.now_ns () in
+        let (dis, n) as r = run_block () in
+        let dt = Obs.Clock.elapsed_ns t0 in
+        (* each executed site is one crossing of the block entrypoint *)
+        R.add crossings n;
+        R.add ep_calls.(0) n;
+        Obs.Hist.record block_hist dt;
+        (match ring with
+        | Some ring when n > 0 ->
+          Obs.Ring.record ring ~ts_ns:t0 ~dur_ns:dt ~name:"block" ~cat:"block"
+            ~args:
+              [ ("pc", Obs.Ring.I dis.(0).Di.pc);
+                ("instrs", Obs.Ring.I (Int64.of_int n)) ]
+        | Some _ | None -> ());
+        r
+      in
+      (exec_ep_obs, observe_block)
+  in
+
+  let step di k =
+    load_frame di;
+    exec_ep di k;
+    save_frame di
+  in
   let run_one (di : Di.t) =
     if not st.halted then begin
       di.pc <- st.pc;
@@ -382,7 +519,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       load_frame di;
       let rec go k =
         if k < n_eps && not st.halted then begin
-          exec_items di ep_items.(k);
+          exec_ep di k;
           go (k + 1)
         end
       in
@@ -395,8 +532,28 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       end
     end
   in
+  let run_one =
+    match ring with
+    | None -> run_one
+    | Some ring ->
+      fun (di : Di.t) ->
+        if not st.halted then begin
+          let t0 = Obs.Clock.now_ns () in
+          run_one di;
+          let name =
+            if di.instr_index >= 0 then spec.instrs.(di.instr_index).i_name
+            else "?"
+          in
+          Obs.Ring.record ring ~ts_ns:t0 ~dur_ns:(Obs.Clock.elapsed_ns t0) ~name
+            ~cat:"instr"
+            ~args:[ ("pc", Obs.Ring.I di.pc) ]
+        end
+  in
 
   (* --- block mode ------------------------------------------------------ *)
+  if bs.bs_block && n_eps <> 1 then
+    synth_error "buildset %s/%s: 'semantic block' requires a single entrypoint"
+      spec.name bs.bs_name;
   (* Full per-instruction chain IR in sequence order (fetch excluded),
      used for per-site specialization. *)
   let chain_ir =
@@ -445,29 +602,24 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
   (* Shared translation cache: specialization depends only on the
      encoding, never on the pc, so loops entered at several pcs,
      duplicated code and rebuilt blocks reuse compiled sites instead of
-     recompiling. The cache survives [flush_code_cache]: entries keyed
-     by [(instr, encoding)] stay correct whatever memory now holds. *)
+     recompiling, and every site gets the per-site memory fast path. The
+     cache survives [flush_code_cache]: entries keyed by
+     [(instr, encoding)] stay correct whatever memory now holds. *)
   let site_tbl : (int * int64, Semir.Compile.code) Hashtbl.t =
     Hashtbl.create 256
   in
   let compile_site enc idx =
-    let build () =
+    let key = (idx, enc) in
+    match Hashtbl.find_opt site_tbl key with
+    | Some c ->
+      stats.Iface.site_cache_hits <- stats.Iface.site_cache_hits + 1;
+      c
+    | None ->
       stats.Iface.sites_compiled <- stats.Iface.sites_compiled + 1;
       let ir = Semir.Opt.optimize ~enc ~keep:block_keep chain_ir.(idx) in
-      compile_program ~mem_fast_path:site_cache ir
-    in
-    if site_cache then begin
-      let key = (idx, enc) in
-      match Hashtbl.find_opt site_tbl key with
-      | Some c ->
-        stats.Iface.site_cache_hits <- stats.Iface.site_cache_hits + 1;
-        c
-      | None ->
-        let c = build () in
-        Hashtbl.add site_tbl key c;
-        c
-    end
-    else build ()
+      let c = compile_program ~mem_fast_path:true ir in
+      Hashtbl.add site_tbl key c;
+      c
   in
   let illegal_site : Semir.Compile.code =
    fun st fr -> State.raise_fault st (Fault.Illegal_instruction fr.enc)
@@ -586,7 +738,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
      dispatch believes); [Stale_chain] breaks it for every real block. *)
   let trust b = b.b_valid || (stale_chain && not (Int64.equal b.b_pc0 (-1L))) in
   let lookup_from prev pc0 =
-    if not (chain && trust prev) then find_block pc0
+    if not (trust prev) then find_block pc0
     else if Int64.equal prev.b_s1_pc pc0 && trust prev.b_s1 then begin
       stats.Iface.chain_taken <- stats.Iface.chain_taken + 1;
       stats.Iface.block_hits <- stats.Iface.block_hits + 1;
@@ -612,6 +764,16 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       b
     end
   in
+  (* One block-dispatch step: the block at the fetch pc, checked against
+     the dispatch invariant, becomes the next predecessor. *)
+  let dispatch () =
+    let pc0 = st.pc in
+    let b = lookup_from !last_block pc0 in
+    if not (Int64.equal b.b_pc0 pc0) then
+      dispatch_invariant_violation st ~want:pc0 ~got:b.b_pc0;
+    last_block := b;
+    b
+  in
   (* Engine-owned DI ring returned by [run_block]. *)
   let dis = ref (Array.init 4 (fun _ -> Di.create ~info_slots:slots.di_size)) in
   let ensure_dis n =
@@ -624,74 +786,70 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       dis := bigger
     end
   in
-  let run_block () =
-    if st.halted then (!dis, 0)
-    else begin
-      let pc0 = st.pc in
-      let b = lookup_from !last_block pc0 in
-      if not (Int64.equal b.b_pc0 pc0) then
-        dispatch_invariant_violation st ~want:pc0 ~got:b.b_pc0;
-      last_block := b;
-      let codes = b.b_codes
-      and encs = b.b_encs
-      and idxs = b.b_idxs
-      and pcs = b.b_pcs in
-      let len = Array.length codes in
-      ensure_dis len;
-      let dis = !dis in
-      let executed = ref 0 in
-      let k = ref 0 in
-      (* [b_valid] re-checked per site: a store that hits this block's
-         own code page stops execution after the faulting-free site that
-         performed it, so stale sites never run. Stable blocks skip the
-         recheck — none of their sites can store, so nothing can
-         invalidate any block while they run. *)
-      while
-        !k < len && not st.halted && (b.b_valid || b.b_stable || stale_chain)
-      do
+  (* Sites write their visible cells here when no DI record is filled. *)
+  let scratch_di = Array.make (max 1 slots.di_size) 0L in
+  (* The site loop, shared by [run_block] and [run_fast]: runs block [b]
+     from its first site, commits the retired count and returns it (a
+     halting site retires nothing). With [fill] every site gets a DI
+     record in the engine ring, speculation checkpoint included; without
+     it sites write into [scratch_di]. [b_valid] is re-checked after
+     every site: a store that hits this block's own code page stops
+     execution after the site that performed it, so stale sites never
+     run. Stable blocks skip the recheck — none of their sites can store,
+     so nothing can invalidate any block while they run — and so does
+     the seeded [Stale_chain] defect. *)
+  let run_sites ~fill b =
+    let codes = b.b_codes
+    and encs = b.b_encs
+    and idxs = b.b_idxs
+    and pcs = b.b_pcs in
+    let len = Array.length codes in
+    if fill then ensure_dis len else frame.di <- scratch_di;
+    let dis = !dis in
+    let k = ref 0 in
+    let go = ref true in
+    while !go do
+      let pc = Array.unsafe_get pcs !k in
+      frame.pc <- pc;
+      frame.enc <- Array.unsafe_get encs !k;
+      frame.next_pc <- Array.unsafe_get pcs (!k + 1);
+      if fill then begin
         let di = Array.unsafe_get dis !k in
-        let pc = Array.unsafe_get pcs !k in
         di.pc <- pc;
-        di.encoding <- Array.unsafe_get encs !k;
+        di.encoding <- frame.enc;
         di.instr_index <- Array.unsafe_get idxs !k;
         di.fault <- None;
         auto_checkpoint di;
-        frame.pc <- pc;
-        frame.enc <- di.encoding;
-        frame.next_pc <- Array.unsafe_get pcs (!k + 1);
         frame.di <- di.info;
         (Array.unsafe_get codes !k) st frame;
         di.next_pc <- frame.next_pc;
-        di.fault <- st.fault;
-        if not st.halted then incr executed;
-        incr k
-      done;
-      if !executed > 0 then begin
-        (* the last executed site's next_pc is the continuation; on a halt
-           the fetch pc stays put (rollback restores it anyway) *)
-        if not st.halted then st.pc <- frame.next_pc;
-        st.instr_count <- Int64.add st.instr_count (Int64.of_int !executed);
-        stats.instrs_executed <-
-          Int64.add stats.instrs_executed (Int64.of_int !executed)
-      end;
-      (dis, !executed)
-    end
+        di.fault <- st.fault
+      end
+      else (Array.unsafe_get codes !k) st frame;
+      if st.halted then go := false
+      else begin
+        incr k;
+        if !k >= len || not (b.b_valid || b.b_stable || stale_chain) then
+          go := false
+      end
+    done;
+    if !k > 0 then begin
+      (* the last executed site's next_pc is the continuation; on a halt
+         the fetch pc stays put (rollback restores it anyway) *)
+      if not st.halted then st.pc <- frame.next_pc;
+      st.instr_count <- Int64.add st.instr_count (Int64.of_int !k);
+      stats.instrs_executed <-
+        Int64.add stats.instrs_executed (Int64.of_int !k)
+    end;
+    !k
   in
-  (* Non-block buildsets still offer [run_block] as a one-instruction
-     batch so consumers can be written against one call style. *)
   let run_block =
-    if bs.bs_block then begin
-      if n_eps <> 1 then
-        synth_error
-          "buildset %s/%s: 'semantic block' requires a single entrypoint"
-          spec.name bs.bs_name;
-      run_block
-    end
-    else fun () ->
-      ensure_dis 1;
-      let d = !dis in
-      run_one d.(0);
-      (d, if st.halted && st.fault <> None then 0 else 1)
+    observe_block (fun () ->
+        if st.halted then (!dis, 0)
+        else begin
+          let n = run_sites ~fill:true (dispatch ()) in
+          (!dis, n)
+        end)
   in
 
   let retire (di : Di.t) =
@@ -725,185 +883,6 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
     Bcache.reset blocks;
     Hashtbl.reset page_blocks;
     last_block := dummy_block
-  in
-
-  (* --- observability --------------------------------------------------- *)
-  (* Instrumented call paths are selected here, at synthesis time — the
-     compiled-in hook pattern. With [obs = None] the closures above are
-     handed out untouched: no flag tests, no extra indirection, the
-     zero-overhead guarantee. With [obs = Some _] every entrypoint call
-     and engine segment is counted and timed into log2 histograms, and a
-     per-instruction event goes to the trace ring when one is attached. *)
-  let run_one, run_block, step =
-    match obs with
-    | None -> (run_one, run_block, step)
-    (* profile-only contexts skip all of this: the profiler attribution
-       wrapper below is the whole instrumentation *)
-    | Some o when not o.Obs.full -> (run_one, run_block, step)
-    | Some (o : Obs.t) ->
-      let module R = Obs.Registry in
-      let reg = o.Obs.reg in
-      let crossings = R.counter reg "synth.entrypoint_calls" in
-      let ep_names = Array.map fst bs.bs_entrypoints in
-      let ep_calls =
-        Array.map (fun nm -> R.counter reg ("synth.ep." ^ nm ^ ".calls")) ep_names
-      in
-      let ep_hist =
-        Array.map (fun nm -> R.histogram reg ("synth.ep." ^ nm ^ ".ns")) ep_names
-      in
-      let seg_calls =
-        Array.map
-          (fun nm -> R.counter reg ("synth.seg." ^ nm ^ ".calls"))
-          [| "fetch"; "decode"; "ir" |]
-      in
-      let seg_hist =
-        Array.map
-          (fun nm -> R.histogram reg ("synth.seg." ^ nm ^ ".ns"))
-          [| "fetch"; "decode"; "ir" |]
-      in
-      let block_hist = R.histogram reg "synth.block.ns" in
-      (* Fused-closure accounting: in per-instruction modes every
-         IR-bearing segment holds one eagerly-compiled closure per
-         instruction; in block mode closures are specialized per site
-         and cached with the block. *)
-      let n_code_segs =
-        Array.fold_left
-          (fun acc items ->
-            Array.fold_left
-              (fun acc item ->
-                match item with I_fetch -> acc | I_decode _ | I_chunk _ -> acc + 1)
-              acc items)
-          0 ep_items
-      in
-      R.probe reg "core.instrs_executed" (fun () ->
-          R.Int (Int64.to_int stats.Iface.instrs_executed));
-      (* block-cache gauges exist only where a block cache does, so a
-         block pass sharing a registry with a per-instruction primary
-         interface contributes them without fighting over names *)
-      if bs.bs_block then begin
-        R.probe reg "core.block_cache.hits" (fun () ->
-            R.Int stats.Iface.block_hits);
-        R.probe reg "core.block_cache.compiled" (fun () ->
-            R.Int stats.Iface.blocks_compiled);
-        R.probe reg "core.block_cache.invalidations" (fun () ->
-            R.Int stats.Iface.block_invalidations);
-        R.probe reg "core.block_cache.chain_taken" (fun () ->
-            R.Int stats.Iface.chain_taken);
-        R.probe reg "core.block_cache.chain_miss" (fun () ->
-            R.Int stats.Iface.chain_miss);
-        R.probe reg "core.block_cache.site_cache_hits" (fun () ->
-            R.Int stats.Iface.site_cache_hits);
-        R.probe reg "core.block_cache.stable_blocks" (fun () ->
-            R.Int stats.Iface.stable_blocks)
-      end;
-      R.probe reg "core.absint_ns" (fun () -> R.Int stats.Iface.absint_ns);
-      if not bs.bs_block then
-        R.probe reg "core.absint_fastpath_classes" (fun () ->
-            R.Int stats.Iface.fastpath_classes);
-      R.probe reg "core.fused_closures_compiled" (fun () ->
-          R.Int
-            (if bs.bs_block then stats.Iface.sites_compiled
-             else n_code_segs * n_instrs));
-      R.probe reg "core.fused_closure_reuse" (fun () ->
-          R.Int
-            (if bs.bs_block then
-               max 0
-                 (Int64.to_int stats.Iface.instrs_executed
-                 - stats.Iface.sites_compiled)
-             else
-               max 0
-                 (seg_calls.(1).R.n + seg_calls.(2).R.n - (n_code_segs * n_instrs))));
-      (match journal with Some j -> Specul.register_obs j o | None -> ());
-      let exec_item_obs di item =
-        let k = match item with I_fetch -> 0 | I_decode _ -> 1 | I_chunk _ -> 2 in
-        let t0 = Obs.Clock.now_ns () in
-        exec_item di item;
-        let dt = Obs.Clock.elapsed_ns t0 in
-        R.incr seg_calls.(k);
-        Obs.Hist.record seg_hist.(k) dt
-      in
-      (* one observed entrypoint crossing: the timed unit of Table III *)
-      let exec_ep_obs di k =
-        let t0 = Obs.Clock.now_ns () in
-        let items = ep_items.(k) in
-        let n = Array.length items in
-        let rec go i =
-          if i < n && not st.halted then begin
-            exec_item_obs di items.(i);
-            go (i + 1)
-          end
-        in
-        go 0;
-        let dt = Obs.Clock.elapsed_ns t0 in
-        R.incr crossings;
-        R.incr ep_calls.(k);
-        Obs.Hist.record ep_hist.(k) dt
-      in
-      let ring_instr (di : Di.t) t0 =
-        match o.Obs.ring with
-        | None -> ()
-        | Some ring ->
-          let name =
-            if di.instr_index >= 0 then spec.instrs.(di.instr_index).i_name
-            else "?"
-          in
-          Obs.Ring.record ring ~ts_ns:t0 ~dur_ns:(Obs.Clock.elapsed_ns t0) ~name
-            ~cat:"instr"
-            ~args:[ ("pc", Obs.Ring.I di.pc) ]
-      in
-      let run_one_obs (di : Di.t) =
-        if not st.halted then begin
-          let t0 = Obs.Clock.now_ns () in
-          di.pc <- st.pc;
-          di.instr_index <- -1;
-          di.fault <- None;
-          auto_checkpoint di;
-          load_frame di;
-          let rec go k =
-            if k < n_eps && not st.halted then begin
-              exec_ep_obs di k;
-              go (k + 1)
-            end
-          in
-          go 0;
-          save_frame di;
-          if not st.halted then begin
-            st.pc <- frame.next_pc;
-            st.instr_count <- Int64.add st.instr_count 1L;
-            stats.instrs_executed <- Int64.add stats.instrs_executed 1L
-          end;
-          ring_instr di t0
-        end
-      in
-      let step_obs di k =
-        load_frame di;
-        exec_ep_obs di k;
-        save_frame di
-      in
-      let run_block_obs =
-        if bs.bs_block then fun () ->
-          let t0 = Obs.Clock.now_ns () in
-          let (dis, n) as r = run_block () in
-          let dt = Obs.Clock.elapsed_ns t0 in
-          (* each executed site is one crossing of the block entrypoint *)
-          R.add crossings n;
-          R.add ep_calls.(0) n;
-          Obs.Hist.record block_hist dt;
-          (match o.Obs.ring with
-          | Some ring when n > 0 ->
-            Obs.Ring.record ring ~ts_ns:t0 ~dur_ns:dt ~name:"block" ~cat:"block"
-              ~args:
-                [ ("pc", Obs.Ring.I dis.(0).Di.pc);
-                  ("instrs", Obs.Ring.I (Int64.of_int n)) ]
-          | Some _ | None -> ());
-          r
-        else fun () ->
-          ensure_dis 1;
-          let d = !dis in
-          run_one_obs d.(0);
-          (d, if st.halted && st.fault <> None then 0 else 1)
-      in
-      (run_one_obs, run_block_obs, step_obs)
   in
 
   (* --- hot-region profiling -------------------------------------------- *)
@@ -940,86 +919,49 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(chain = true)
       in
       (run_one_p, run_block_p, retire_p)
   in
+  (* Non-block buildsets still offer [run_block] as a one-instruction
+     batch so consumers can be written against one call style. *)
+  let run_block =
+    if bs.bs_block then run_block
+    else fun () ->
+      ensure_dis 1;
+      let d = !dis in
+      run_one d.(0);
+      (d, if st.halted && st.fault <> None then 0 else 1)
+  in
 
   (* --- fast dispatch --------------------------------------------------- *)
-  (* The generic loop reproduces the historical [run_n] exactly (and is
-     what instrumented, journaled, per-instruction and unchained
-     interfaces get); the chained loop below it is the translation-cache
-     hot path: block-to-block dispatch through the successor caches, no
-     DI materialization, no per-instruction bookkeeping. Both return
-     after at most [n] instructions plus block slack — the preemption
-     point watchdogs rely on, so chained dispatch cannot spin past a
-     slice. *)
-  let run_fast_generic n =
-    let start = st.instr_count in
-    let executed () = Int64.to_int (Int64.sub st.instr_count start) in
-    if bs.bs_block then
-      while executed () < n && not st.halted do
-        ignore (run_block ())
-      done
-    else begin
+  (* [run_fast] is one loop over one unit of execution. Block interfaces
+     whose blocks must materialize DI records — journaled ones (the
+     speculation checkpoints ride on them) and fully observed ones — run
+     [run_block]; every other block interface runs the site loop straight
+     off the successor caches, attributing each block to the profiler
+     when one is compiled in. Non-block interfaces run [run_one]. A call
+     returns after at most [n] instructions plus block slack — the
+     preemption point watchdogs rely on, so chained dispatch cannot spin
+     past a slice. *)
+  let run_unit =
+    if not bs.bs_block then begin
       let di = Di.create ~info_slots:slots.di_size in
-      while executed () < n && not st.halted do
-        run_one di
-      done
-    end;
-    executed ()
-  in
-  let fast_di = Array.make (max 1 slots.di_size) 0L in
-  (* [note] is the profiler hook, called once per executed block with the
-     block's entry pc and executed-site count. It is bound statically at
-     synthesis time — the unprofiled instance passes a constant no-op, so
-     the only residual cost is one closure call per block (~amortized to
-     noise by block length), and chained dispatch survives profiling. *)
-  let run_fast_chained ~note n =
-    let executed = ref 0 in
-    frame.di <- fast_di;
-    while !executed < n && not st.halted do
-      let pc0 = st.pc in
-      let b = lookup_from !last_block pc0 in
-      if not (Int64.equal b.b_pc0 pc0) then
-        dispatch_invariant_violation st ~want:pc0 ~got:b.b_pc0;
-      last_block := b;
-      let codes = b.b_codes and encs = b.b_encs and pcs = b.b_pcs in
-      let len = Array.length codes in
-      let k = ref 0 in
-      let go = ref true in
-      while !go do
-        frame.pc <- Array.unsafe_get pcs !k;
-        frame.enc <- Array.unsafe_get encs !k;
-        frame.next_pc <- Array.unsafe_get pcs (!k + 1);
-        (Array.unsafe_get codes !k) st frame;
-        if st.halted then go := false
-        else begin
-          incr k;
-          if !k >= len || not (b.b_valid || b.b_stable) then go := false
-        end
-      done;
-      if !k > 0 then begin
-        if not st.halted then st.pc <- frame.next_pc;
-        st.instr_count <- Int64.add st.instr_count (Int64.of_int !k);
-        stats.Iface.instrs_executed <-
-          Int64.add stats.Iface.instrs_executed (Int64.of_int !k);
-        executed := !executed + !k;
-        note pc0 !k
-      end
-    done;
-    !executed
-  in
-  (* Chained dispatch is compatible with profile-only observation (the
-     per-block [note] hook), but not with full instrumentation, which
-     needs per-call DI materialization and timing. *)
-  let run_fast =
-    if
-      bs.bs_block && chain
-      && Option.is_none journal
-      && (match obs with None -> true | Some o -> not o.Obs.full)
-    then
+      fun () -> run_one di
+    end
+    else if Option.is_some journal || Option.is_some full_obs then fun () ->
+      ignore (run_block ())
+    else
       match prof with
-      | None -> run_fast_chained ~note:(fun _ _ -> ())
+      | None -> fun () -> ignore (run_sites ~fill:false (dispatch ()))
       | Some p ->
-        run_fast_chained ~note:(fun pc0 k -> Obs.Prof.note p ~pc:pc0 ~instrs:k)
-    else run_fast_generic
+        fun () ->
+          let b = dispatch () in
+          let k = run_sites ~fill:false b in
+          if k > 0 then Obs.Prof.note p ~pc:b.b_pc0 ~instrs:k
+  in
+  let run_fast n =
+    let start = st.instr_count in
+    while Int64.to_int (Int64.sub st.instr_count start) < n && not st.halted do
+      run_unit ()
+    done;
+    Int64.to_int (Int64.sub st.instr_count start)
   in
   {
     Iface.spec;

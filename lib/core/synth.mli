@@ -46,23 +46,23 @@ val sym_ir : Lis.Spec.instr -> Lis.Spec.action_sym -> Semir.Ir.program
 
 val seg_ir : Lis.Spec.instr -> seg -> Semir.Ir.program
 
-(** [make ?backend ?allow_hidden_crossing ?chain ?site_cache ?obs ?st
-    spec buildset] synthesizes the interface. A fresh machine is created
+(** [make ?backend ?allow_hidden_crossing ?absint ?mutate ?obs ?st spec
+    buildset] synthesizes the interface. A fresh machine is created
     unless [st] is given (sharing [st] across interfaces is how sampling
     and rotating validation work).
 
-    Block-semantic buildsets get a translation-cache engine: compiled
-    blocks carry a bi-morphic successor cache so hot edges dispatch
-    block-to-block without a hash probe ([chain], default on; stats
+    Block-semantic buildsets get a translation-cache engine with one
+    executor: compiled blocks carry a bi-morphic successor cache so hot
+    edges dispatch block-to-block without a hash probe (stats
     [chain_taken]/[chain_miss]), compiled sites are shared across blocks
     through an [(instr, encoding)] cache and get per-site memory fast
-    paths ([site_cache], default on; stat [site_cache_hits]), and pages
-    holding translated code are tracked so writes to them invalidate the
-    affected blocks and chain links — self-modifying code observes its
-    own stores. Disabling both flags reproduces the pre-cache engine for
-    A/B comparison. [mutate] deliberately re-breaks the engine (one
-    {!mutation} bug class) — for fuzzer validation only, never for real
-    simulation.
+    paths (stat [site_cache_hits]), and pages holding translated code
+    are tracked so writes to them invalidate the affected blocks and
+    chain links — self-modifying code observes its own stores.
+    [run_block] and [run_fast] run the same site loop; only [run_block]
+    (and [run_fast] on journaled or fully observed interfaces) fills DI
+    records. [mutate] deliberately re-breaks the engine (one {!mutation}
+    bug class) — for fuzzer validation only, never for real simulation.
 
     [absint] (default on) runs {!Analysis.Absint} at synthesis time and
     gates two optimizations on its store-free verdicts: instruction
@@ -90,8 +90,6 @@ val seg_ir : Lis.Spec.instr -> seg -> Semir.Ir.program
 val make :
   ?backend:backend ->
   ?allow_hidden_crossing:bool ->
-  ?chain:bool ->
-  ?site_cache:bool ->
   ?absint:bool ->
   ?mutate:mutation ->
   ?obs:Obs.t ->

@@ -42,8 +42,7 @@ let degrade_session ?obs ?stats (cfg : Oracle.config) spec ~buildset tc
     ~deadline =
   let session =
     Super.Degrade.create ?obs ?stats ?mutate:cfg.Oracle.mutate
-      ~chain:cfg.chain ~site_cache:cfg.site_cache ~reference:cfg.reference
-      ~spec ~buildset
+      ~reference:cfg.reference ~spec ~buildset
       ~load:(Oracle.load_image spec tc)
       ()
   in

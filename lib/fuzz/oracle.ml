@@ -16,8 +16,6 @@
 type config = {
   reference : string;
   buildsets : string list;  (** candidates to check *)
-  chain : bool;  (** candidate block engines: successor chaining *)
-  site_cache : bool;  (** candidate block engines: shared site cache *)
   mutate : Specsim.Synth.mutation option;  (** candidate-only defect *)
   max_instrs : int;  (** per-run retirement budget *)
   mem_interval : int;
@@ -29,8 +27,6 @@ let default_config =
     reference = "step_all";
     buildsets =
       List.map Specsim.Detail.buildset_name Specsim.Detail.table2_interfaces;
-    chain = true;
-    site_cache = true;
     mutate = None;
     max_instrs = 2048;
     mem_interval = 16;
@@ -100,9 +96,9 @@ let load_image (spec : Lis.Spec.t) (tc : Gen.testcase) (st : Machine.State.t) =
 
 (** [boot spec tc ...] synthesizes an interface on a fresh machine loaded
     with the testcase image, pseudo-OS installed, pc at the code base. *)
-let boot (spec : Lis.Spec.t) (tc : Gen.testcase) ~buildset ~chain ~site_cache
-    ?mutate ?obs () : Specsim.Iface.t =
-  let iface = Specsim.Synth.make ~chain ~site_cache ?mutate ?obs spec buildset in
+let boot (spec : Lis.Spec.t) (tc : Gen.testcase) ~buildset ?mutate ?obs () :
+    Specsim.Iface.t =
+  let iface = Specsim.Synth.make ?mutate ?obs spec buildset in
   load_image spec tc iface.st;
   iface
 
@@ -168,11 +164,10 @@ let run_pair (spec : Lis.Spec.t) ?prof (cfg : config) (tc : Gen.testcase)
   in
   let cand =
     driver
-      (boot spec tc ~buildset ~chain:cfg.chain ~site_cache:cfg.site_cache
-         ?mutate:cfg.mutate ?obs ())
+      (boot spec tc ~buildset ?mutate:cfg.mutate ?obs ())
   in
   let refd =
-    driver (boot spec tc ~buildset:cfg.reference ~chain:true ~site_cache:true ())
+    driver (boot spec tc ~buildset:cfg.reference ())
   in
   (* only a fully-instrumented context counts crossings; a profile-only
      one builds seed closures and its registry would read a false 0 *)

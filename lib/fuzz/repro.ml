@@ -19,8 +19,6 @@ let to_string (cfg : Oracle.config) ?buildset (tc : Gen.testcase) : string =
   (match cfg.Oracle.mutate with
   | Some m -> line "mutate %s" (Specsim.Synth.mutation_to_string m)
   | None -> ());
-  if not cfg.chain then line "chain off";
-  if not cfg.site_cache then line "site-cache off";
   line "max-instrs %d" cfg.max_instrs;
   Array.iter (fun (c, i, v) -> line "reg %d %d 0x%Lx" c i v) tc.tc_regs;
   Array.iter (fun (a, v) -> line "mem 0x%Lx 0x%Lx" a v) tc.tc_mem;
@@ -43,6 +41,13 @@ exception Bad_repro of string
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad_repro m)) fmt
 
+(* A number that does not parse is a [Bad_repro] naming its line, not an
+   escaping [Failure]. *)
+let num of_string ~ln l v =
+  match of_string v with
+  | x -> x
+  | exception Failure _ -> bad "bad number %S on line %d: %S" v (ln + 1) l
+
 let parse (text : string) : t =
   let lines =
     String.split_on_char '\n' text
@@ -63,23 +68,19 @@ let parse (text : string) : t =
     (fun ln l ->
       if ln = 0 || !ended then ()
       else
+        let to_int = num int_of_string ~ln l and to_int64 = num Int64.of_string ~ln l in
         match String.split_on_char ' ' l |> List.filter (( <> ) "") with
         | [ "isa"; v ] -> isa := v
-        | [ "seed"; v ] -> seed := Int64.of_string v
+        | [ "seed"; v ] -> seed := to_int64 v
         | [ "buildset"; v ] -> buildset := Some v
         | [ "mutate"; v ] -> (
           match Specsim.Synth.mutation_of_string v with
           | Some m -> cfg := { !cfg with Oracle.mutate = Some m }
           | None -> bad "unknown mutation %S" v)
-        | [ "chain"; "off" ] -> cfg := { !cfg with Oracle.chain = false }
-        | [ "site-cache"; "off" ] ->
-          cfg := { !cfg with Oracle.site_cache = false }
-        | [ "max-instrs"; v ] ->
-          cfg := { !cfg with Oracle.max_instrs = int_of_string v }
-        | [ "reg"; c; i; v ] ->
-          regs := (int_of_string c, int_of_string i, Int64.of_string v) :: !regs
-        | [ "mem"; a; v ] -> mem := (Int64.of_string a, Int64.of_string v) :: !mem
-        | [ "code"; w ] -> code := Int64.of_string w :: !code
+        | [ "max-instrs"; v ] -> cfg := { !cfg with Oracle.max_instrs = to_int v }
+        | [ "reg"; c; i; v ] -> regs := (to_int c, to_int i, to_int64 v) :: !regs
+        | [ "mem"; a; v ] -> mem := (to_int64 a, to_int64 v) :: !mem
+        | [ "code"; w ] -> code := to_int64 w :: !code
         | [ "end" ] -> ended := true
         | _ -> bad "bad line %d: %S" (ln + 1) l)
     lines;

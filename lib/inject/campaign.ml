@@ -68,9 +68,6 @@ type report = {
   r_repairs : int;
   r_restores : int;
   r_restore_failures : int;
-  r_demotions : int;
-      (** timing interfaces demoted down the cache-feature ladder after a
-          replay failed to reconverge (block buildsets only) *)
   r_outcome_ok : bool;
   r_per_site : (Injector.site * site_stat) list;
   r_rollback_trials : int;
@@ -143,30 +140,11 @@ let run_cell ?obs (t : Workload.target) ~(kernel : Vir.Kernels.sized)
   let lt = Workload.load t ~buildset:cfg.buildset kernel.program in
   let lc = Workload.load t ~buildset:cfg.buildset kernel.program in
   let inj = Injector.create ~seed:cfg.seed ~rate:cfg.rate ~sites:cfg.sites () in
-  (* Graceful degradation: when the timing side uses the block engine and
-     a checkpoint replay cannot reconverge, hand the checker the same
-     buildset one rung down the cache-feature ladder (chain off, then
-     site cache off too) over the same machine. Non-block buildsets (the
-     default) have no ladder and keep the pre-supervision behaviour. *)
-  let spec = Lazy.force t.spec in
-  let demote_ladder =
-    if (Lis.Spec.find_buildset spec cfg.buildset).Lis.Spec.bs_block then
-      [ (false, true); (false, false) ]
-    else []
-  in
-  let demote k =
-    match List.nth_opt demote_ladder k with
-    | Some (chain, site_cache) ->
-      Some
-        (Specsim.Synth.make ~chain ~site_cache ~st:lt.iface.st spec
-           cfg.buildset)
-    | None -> None
-  in
   let r =
     Timing.Timingfirst.run ~bug:(Injector.bug inj)
       ~mem_check_interval:cfg.mem_check_interval
       ~ckpt_interval:cfg.ckpt_interval ~storm_window:cfg.storm_window
-      ~storm_threshold:cfg.storm_threshold ~demote ?obs ~timing:lt.iface
+      ~storm_threshold:cfg.storm_threshold ?obs ~timing:lt.iface
       ~checker:lc.iface ~budget:cfg.budget ()
   in
   (* Attribute detections: a mismatch at instruction [d] resolves every
@@ -245,7 +223,6 @@ let run_cell ?obs (t : Workload.target) ~(kernel : Vir.Kernels.sized)
     r_repairs = r.repairs;
     r_restores = r.restores;
     r_restore_failures = r.restore_failures;
-    r_demotions = r.demotions;
     r_outcome_ok = outcome_ok;
     r_per_site =
       List.filter_map
@@ -308,9 +285,8 @@ let pp_report ppf r =
     "  detected %d/%d (coverage %.1f%%), mean detection latency %.2f instrs@\n"
     r.r_detected r.r_architectural (100. *. coverage r) (mean_latency r);
   Format.fprintf ppf
-    "  mismatches %Ld, repairs %d, checkpoint restores %d (failed %d), \
-     demotions %d@\n"
-    r.r_mismatches r.r_repairs r.r_restores r.r_restore_failures r.r_demotions;
+    "  mismatches %Ld, repairs %d, checkpoint restores %d (failed %d)@\n"
+    r.r_mismatches r.r_repairs r.r_restores r.r_restore_failures;
   List.iter
     (fun (site, s) ->
       Format.fprintf ppf "    %-5s injected %3d  detected %3d  mean latency %s@\n"

@@ -10,7 +10,7 @@
     verified boundary and re-synthesizes the primary one rung down the
     demotion ladder
 
-    {v full  →  no-chain  →  no-site-cache  →  step_all v}
+    {v full  →  step_all v}
 
     then replays the slice. The ladder always ends at the reference
     buildset, whose semantics are the conformance oracle itself, so a
@@ -29,55 +29,21 @@ open Machine
 type level = {
   lv_name : string;
   lv_buildset : string;
-  lv_chain : bool;
-  lv_site : bool;
   lv_mutate : Specsim.Synth.mutation option;
-      (** seeded defects survive block-level demotions (they model a bug
-          in the block engine itself) and drop off at the reference level *)
+      (** a seeded defect stays with the primary interface and drops off
+          at the reference level *)
 }
 
-(** The demotion ladder for [buildset], deduplicating rungs that the
-    starting flags already disable. Non-block buildsets have no cache
-    machinery to shed, so their ladder is just [buildset → reference]. *)
-let ladder (spec : Lis.Spec.t) ~buildset ~chain ~site_cache ~mutate ~reference
-    : level list =
-  let bs = Lis.Spec.find_buildset spec buildset in
-  let full =
-    {
-      lv_name = "full";
-      lv_buildset = buildset;
-      lv_chain = chain;
-      lv_site = site_cache;
-      lv_mutate = mutate;
-    }
-  in
+(** The demotion ladder for [buildset]: the buildset itself, then the
+    reference. A reference-level session has nothing to fall back to. *)
+let ladder ~buildset ~mutate ~reference : level list =
   let reference_level =
-    {
-      lv_name = reference;
-      lv_buildset = reference;
-      lv_chain = false;
-      lv_site = false;
-      lv_mutate = None;
-    }
+    { lv_name = reference; lv_buildset = reference; lv_mutate = None }
   in
   if String.equal buildset reference then [ reference_level ]
-  else if not bs.Lis.Spec.bs_block then [ full; reference_level ]
-  else begin
-    let block_levels =
-      [
-        full;
-        { full with lv_name = "no-chain"; lv_chain = false };
-        { full with lv_name = "no-site-cache"; lv_chain = false; lv_site = false };
-      ]
-    in
-    let rec dedup = function
-      | a :: b :: rest ->
-        if a.lv_chain = b.lv_chain && a.lv_site = b.lv_site then a :: dedup rest
-        else a :: dedup (b :: rest)
-      | rest -> rest
-    in
-    dedup block_levels @ [ reference_level ]
-  end
+  else
+    [ { lv_name = "full"; lv_buildset = buildset; lv_mutate = mutate };
+      reference_level ]
 
 type t = {
   d_spec : Lis.Spec.t;
@@ -102,18 +68,14 @@ let primary_state t = t.d_st
 let shadow_state t = t.d_shadow_st
 
 let synth_level ?obs ~st spec (lv : level) =
-  Specsim.Synth.make ?obs ?mutate:lv.lv_mutate ~chain:lv.lv_chain
-    ~site_cache:lv.lv_site ~st spec lv.lv_buildset
+  Specsim.Synth.make ?obs ?mutate:lv.lv_mutate ~st spec lv.lv_buildset
 
 (** [create ~spec ~buildset ~load ()] prepares a session. [load] must
     fully prepare a machine for the workload — image, OS emulation,
     reset — and is applied identically to the primary and the shadow. *)
-let create ?obs ?stats ?mutate ?(chain = true) ?(site_cache = true)
-    ?(reference = "step_all") ~spec ~buildset ~(load : State.t -> unit) () : t
-    =
-  let levels =
-    Array.of_list (ladder spec ~buildset ~chain ~site_cache ~mutate ~reference)
-  in
+let create ?obs ?stats ?mutate ?(reference = "step_all") ~spec ~buildset
+    ~(load : State.t -> unit) () : t =
+  let levels = Array.of_list (ladder ~buildset ~mutate ~reference) in
   let st = Lis.Spec.make_machine spec in
   let sst = Lis.Spec.make_machine spec in
   load st;

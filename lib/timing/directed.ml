@@ -11,7 +11,9 @@
 
     The pipeline stalls on RAW hazards via a scoreboard (no bypass
     network), takes I/D-cache latencies, resolves branches in EX with a
-    not-taken fetch policy, and serializes system calls. *)
+    not-taken fetch policy, and serializes system calls. IF fetches at a
+    4-byte stride; when decode finds an instruction of another size, ID
+    redirects the younger fetch to the true fall-through (no flush). *)
 
 type config = {
   l1i : Cache.config;
@@ -80,6 +82,11 @@ let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
       "Directed.run: needs a seven-entrypoint Step interface (e.g. step_all)";
   let st = iface.st in
   let kinds = Specsim.Classify.of_spec iface.spec in
+  let instrs = iface.spec.instrs in
+  (* bytes to the fall-through: the fetch stride until decode knows better *)
+  let size_of (di : Specsim.Di.t) =
+    if di.instr_index >= 0 then instrs.(di.instr_index).Lis.Spec.i_size else 4
+  in
   let slot_of_cell c = iface.slots.di_slot_of_cell.(c) in
   let regs = st.regs in
   let flat_of (cls, id_cell) (di : Specsim.Di.t) =
@@ -142,7 +149,11 @@ let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
     if ex.busy && not st.halted && not stages.(3).busy then begin
       iface.step ex.di ep_execute;
       (* branch resolution: not-taken fetch policy *)
-      if not (Int64.equal ex.di.next_pc (Int64.add ex.di.pc 4L)) then begin
+      if
+        not
+          (Int64.equal ex.di.next_pc
+             (Int64.add ex.di.pc (Int64.of_int (size_of ex.di))))
+      then begin
         clear stages.(0);
         clear stages.(1);
         (* a squashed younger syscall no longer serializes *)
@@ -183,6 +194,13 @@ let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
             (* serialize: squash the younger fetch, stop fetching *)
             clear stages.(0);
             serialize := true
+          end;
+          (* not 4 bytes long: the younger fetch went to the wrong
+             address; refetch at the fall-through *)
+          let size = size_of id.di in
+          if size <> 4 then begin
+            clear stages.(0);
+            fetch_pc := Int64.add id.di.pc (Int64.of_int size)
           end
         end
       end;

@@ -57,9 +57,6 @@ type result = {
   restore_failures : int;
       (** restore-and-replay attempts whose replay did not reconverge
           (the checker then fell back to a direct reload) *)
-  demotions : int;
-      (** timing interfaces swapped in by the [demote] ladder after a
-          replay failed to reconverge *)
 }
 
 (** [run ~timing ~checker ~budget] — [timing] and [checker] are interfaces
@@ -69,29 +66,20 @@ type result = {
     detection latency; [ckpt_interval] is the checkpoint cadence of the
     recovery path; more than [storm_threshold] mismatches within
     [storm_window] instructions trigger restore-and-replay instead of a
-    direct reload.
-
-    [demote k], the graceful-degradation hook, is consulted when a
-    restore-and-replay fails to reconverge for the [k]-th time: if it
-    returns a replacement timing interface {e over the same machine}
-    (typically the same buildset re-synthesized one rung down the
-    cache-feature ladder), the checker swaps it in and retries the
-    replay instead of falling back to a blunt reload. [None] ends the
-    ladder. *)
+    direct reload. A replay that does not reconverge falls back to a
+    direct reload too. *)
 let run ?(bug = fun (_ : Machine.State.t) (_ : Specsim.Di.t) -> ())
     ?(timing_model = Funcfirst.default_config) ?(mem_check_interval = 64)
     ?(ckpt_interval = 8192) ?(storm_window = 64) ?(storm_threshold = 8)
-    ?(demote = fun (_ : int) -> (None : Specsim.Iface.t option)) ?obs
+    ?obs
     ~(timing : Specsim.Iface.t) ~(checker : Specsim.Iface.t) ~budget () :
     result =
   if timing.st == checker.st then
     Machine.Sim_error.raisef ~component:"timing"
       "Timingfirst.run: timing and checker must be separate machines";
   let ff = Funcfirst.create ~config:timing_model timing in
-  let timing = ref timing in
-  let demotions = ref 0 in
   (match obs with Some o -> Funcfirst.register_obs ff o | None -> ());
-  let t_di = Specsim.Di.create ~info_slots:(!timing).slots.di_size in
+  let t_di = Specsim.Di.create ~info_slots:timing.slots.di_size in
   let c_di = Specsim.Di.create ~info_slots:checker.slots.di_size in
   let mismatches = ref 0L in
   let diagnostics = ref [] in
@@ -100,7 +88,7 @@ let run ?(bug = fun (_ : Machine.State.t) (_ : Specsim.Di.t) -> ())
   let restore_failures = ref 0 in
   let retired = ref 0 in
   let last_mem_check = ref 0 in
-  let tst = (!timing).st and cst = checker.st in
+  let tst = timing.st and cst = checker.st in
   (* Memory digests are the checker's one potentially-expensive compare;
      when observed, each one is timed (the "digest time" attribution).
      The comparison closure is selected once — unobserved runs keep the
@@ -144,34 +132,26 @@ let run ?(bug = fun (_ : Machine.State.t) (_ : Specsim.Di.t) -> ())
     tst.halted <- cst.halted;
     if not (mem_agrees ()) then
       Machine.Memory.blit_all ~src:cst.mem ~dst:tst.mem;
-    (!timing).flush_code_cache ();
+    timing.flush_code_cache ();
     incr repairs
   in
   (* Checkpoint recovery: rewind the timing machine to the last trusted
      snapshot and replay it forward (without the bug callback — replay is
      clean re-execution) until it catches up with the functional
-     simulator; verify exact reconvergence. A replay that does not
-     reconverge consults the demotion ladder before giving up: a less
-     aggressive timing interface over the same machine retries the same
-     replay. The recursion is bounded by the ladder returning [None]. *)
-  let rec restore_and_replay () =
+     simulator; verify exact reconvergence, else reload directly. *)
+  let restore_and_replay () =
     Machine.Checkpoint.restore tst !ckpt;
-    (!timing).flush_code_cache ();
+    timing.flush_code_cache ();
     while
       Int64.compare tst.instr_count cst.instr_count < 0 && not tst.halted
     do
-      (!timing).run_one t_di
+      timing.run_one t_di
     done;
     if states_agree () then incr restores
-    else
-      match demote !demotions with
-      | Some (next : Specsim.Iface.t) when next.st == tst ->
-        incr demotions;
-        timing := next;
-        restore_and_replay ()
-      | _ ->
-        incr restore_failures;
-        repair ()
+    else begin
+      incr restore_failures;
+      repair ()
+    end
   in
   let record msite latency_bound =
     mismatches := Int64.add !mismatches 1L;
@@ -193,7 +173,7 @@ let run ?(bug = fun (_ : Machine.State.t) (_ : Specsim.Di.t) -> ())
   in
   while (not cst.halted) && !retired < budget do
     if not tst.halted then begin
-      (!timing).run_one t_di;
+      timing.run_one t_di;
       bug tst t_di;
       Funcfirst.consume ff t_di
     end;
@@ -231,8 +211,7 @@ let run ?(bug = fun (_ : Machine.State.t) (_ : Specsim.Di.t) -> ())
     R.add (R.counter o.reg "checker.mismatches") (Int64.to_int !mismatches);
     R.add (R.counter o.reg "checker.repairs") !repairs;
     R.add (R.counter o.reg "checker.restores") !restores;
-    R.add (R.counter o.reg "checker.restore_failures") !restore_failures;
-    R.add (R.counter o.reg "checker.demotions") !demotions);
+    R.add (R.counter o.reg "checker.restore_failures") !restore_failures);
   {
     instructions = Int64.of_int !retired;
     mismatches = !mismatches;
@@ -244,5 +223,4 @@ let run ?(bug = fun (_ : Machine.State.t) (_ : Specsim.Di.t) -> ())
     repairs = !repairs;
     restores = !restores;
     restore_failures = !restore_failures;
-    demotions = !demotions;
   }

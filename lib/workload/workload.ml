@@ -83,11 +83,10 @@ let load_image ?obs ?input (t : target) (program : Vir.Lang.program)
     kernel and installs it at the code base with the OS emulator hooked up.
     [obs] compiles instrumentation into the interface (see
     {!Specsim.Synth.make}); omitted, the interface is uninstrumented. *)
-let load ?(backend = Specsim.Synth.Compiled) ?chain ?site_cache ?absint ?obs
+let load ?(backend = Specsim.Synth.Compiled) ?absint ?obs
     ?input (t : target) ~buildset (program : Vir.Lang.program) : loaded =
   let iface =
-    Specsim.Synth.make ~backend ?chain ?site_cache ?absint ?obs
-      (Lazy.force t.spec) buildset
+    Specsim.Synth.make ~backend ?absint ?obs (Lazy.force t.spec) buildset
   in
   let os = load_image ?obs ?input t program iface.st in
   { iface; os; image_words = List.length (t.encode ~base:code_base program) }
@@ -128,10 +127,8 @@ let run_to_completion ?(budget = 1_000_000_000) (l : loaded) : outcome =
         | None -> "halted without exit status")
 
 (** [run target ~buildset kernel] — load and run in one step. *)
-let run ?backend ?chain ?site_cache ?obs ?input ?budget (t : target) ~buildset
-    program : outcome =
-  run_to_completion ?budget
-    (load ?backend ?chain ?site_cache ?obs ?input t ~buildset program)
+let run ?backend ?obs ?input ?budget (t : target) ~buildset program : outcome =
+  run_to_completion ?budget (load ?backend ?obs ?input t ~buildset program)
 
 (** [reference kernel] runs the VIR reference executor. *)
 let reference ?input (program : Vir.Lang.program) : outcome =

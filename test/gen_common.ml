@@ -61,9 +61,9 @@ let demo_spec () = Lazy.force Demo_isa.spec
 (** Run [program] under buildset [bs]; returns the interface (for stats)
     plus (exit status, instructions retired). [patch] runs after the
     image is loaded, before execution — used to pre-stage data. *)
-let run_demo ?chain ?site_cache ?(patch = fun _ -> ()) bs program =
+let run_demo ?(patch = fun _ -> ()) bs program =
   let spec = demo_spec () in
-  let iface = Specsim.Synth.make ?chain ?site_cache spec bs in
+  let iface = Specsim.Synth.make spec bs in
   let st = iface.st in
   let os = Machine.Os_emu.create () in
   (match spec.abi with

@@ -8,7 +8,7 @@
 let run_demo = Gen_common.run_demo
 
 (* ----------------------------------------------------------------- *)
-(* Chaining and site-cache A/B                                         *)
+(* Chaining and the shared site cache                                  *)
 (* ----------------------------------------------------------------- *)
 
 (* A counted loop whose back edge re-enters the middle of the entry
@@ -43,20 +43,18 @@ let test_chain_and_site_cache () =
   Alcotest.(check bool)
     "site cache reused compiled sites" true
     (s.Specsim.Iface.site_cache_hits >= 3);
-  (* Disabling both caches must reproduce the same architectural run,
-     with the new counters pinned at zero. *)
-  let iface', status', count' =
-    run_demo ~chain:false ~site_cache:false "block_min" loop_program
-  in
-  Alcotest.(check (option int)) "exit status (caches off)" (Some 55) status';
-  Alcotest.(check int64) "instruction counts agree" count count';
-  let s' = iface'.stats in
-  Alcotest.(check int) "no chain hits when disabled" 0
-    s'.Specsim.Iface.chain_taken;
-  Alcotest.(check int) "no chain misses when disabled" 0
-    s'.Specsim.Iface.chain_miss;
-  Alcotest.(check int) "no site-cache hits when disabled" 0
-    s'.Specsim.Iface.site_cache_hits
+  (* Every dispatch but the first has a predecessor, so it is either a
+     chain hit or a chain miss; nothing in this program invalidates. *)
+  Alcotest.(check int) "every later dispatch consults a successor cache"
+    (s.Specsim.Iface.blocks_compiled + s.Specsim.Iface.block_hits - 1)
+    (s.Specsim.Iface.chain_taken + s.Specsim.Iface.chain_miss);
+  Alcotest.(check bool) "chain hits outnumber misses on a hot loop" true
+    (s.Specsim.Iface.chain_taken > s.Specsim.Iface.chain_miss);
+  Alcotest.(check bool) "fewer sites compiled than instructions executed" true
+    (Int64.compare (Int64.of_int s.Specsim.Iface.sites_compiled) count < 0);
+  let _, _, one_count = run_demo "one_all" loop_program in
+  Alcotest.(check int64) "Block and One mode retire the same count" one_count
+    count
 
 (* One-mode interfaces must never touch the block machinery. *)
 let test_one_mode_counters_stay_zero () =
@@ -271,9 +269,80 @@ let test_self_store_equivalence () =
         42 block.Workload.exit_status)
     Workload.targets
 
+(* ----------------------------------------------------------------- *)
+(* One executor: run_n and a run_block loop agree exactly              *)
+(* ----------------------------------------------------------------- *)
+
+(* [run_n] and [run_block] share one dispatch step and one site loop;
+   they differ only in whether DI records are filled. Driving the same
+   image both ways must therefore give the same architectural result
+   and the same dispatch counters, on every block buildset (journaled
+   ones included), plain and with full instrumentation compiled in. *)
+let block_buildsets =
+  [ "block_min"; "block_decode"; "block_decode_spec"; "block_all";
+    "block_all_spec" ]
+
+let sort_program =
+  (List.find
+     (fun (k : Vir.Kernels.sized) -> String.equal k.kname "sort")
+     Vir.Kernels.test_suite)
+    .program
+
+let executor_fingerprint ~via_run_block ~obs t bs program =
+  let obs = if obs then Some (Obs.create ()) else None in
+  let l = Workload.load ?obs t ~buildset:bs program in
+  let iface = l.Workload.iface in
+  let st = iface.Specsim.Iface.st in
+  let cap = 1_000_000 in
+  if via_run_block then begin
+    let guard = ref 0 in
+    while (not st.Machine.State.halted) && !guard < cap do
+      let _, n = iface.Specsim.Iface.run_block () in
+      guard := !guard + max n 1
+    done
+  end
+  else ignore (Specsim.Iface.run_n iface cap);
+  if not st.Machine.State.halted then Alcotest.fail "program did not halt";
+  let s = iface.Specsim.Iface.stats in
+  Printf.sprintf
+    "exit=%s output=%S count=%Ld mem=%Lx compiled=%d hits=%d inval=%d \
+     sites=%d site_hits=%d chain=%d/%d exec=%Ld stable=%d fastpath=%d"
+    (match Machine.State.exit_status st with
+    | Some v -> string_of_int v
+    | None -> "-")
+    (Machine.Os_emu.output l.Workload.os)
+    st.Machine.State.instr_count
+    (Machine.Memory.digest st.Machine.State.mem)
+    s.blocks_compiled s.block_hits s.block_invalidations s.sites_compiled
+    s.site_cache_hits s.chain_taken s.chain_miss s.instrs_executed
+    s.stable_blocks s.fastpath_classes
+
+let test_one_executor () =
+  List.iter
+    (fun (t : Workload.target) ->
+      List.iter
+        (fun bs ->
+          List.iter
+            (fun obs ->
+              List.iter
+                (fun (pname, program) ->
+                  let label =
+                    Printf.sprintf "%s/%s/%s%s" t.tname bs pname
+                      (if obs then "+obs" else "")
+                  in
+                  Alcotest.(check string) label
+                    (executor_fingerprint ~via_run_block:false ~obs t bs
+                       program)
+                    (executor_fingerprint ~via_run_block:true ~obs t bs
+                       program))
+                [ ("sort", sort_program); ("self_store", self_store_program) ])
+            [ false; true ])
+        block_buildsets)
+    Workload.targets
+
 let suite =
   [
-    Alcotest.test_case "chain + site cache A/B" `Quick
+    Alcotest.test_case "chain + site cache engage" `Quick
       test_chain_and_site_cache;
     Alcotest.test_case "One mode keeps block counters at zero" `Quick
       test_one_mode_counters_stay_zero;
@@ -286,4 +355,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_block_equals_one;
     Alcotest.test_case "self-store equivalence (all ISAs)" `Quick
       test_self_store_equivalence;
+    Alcotest.test_case "run_n and run_block share one executor" `Quick
+      test_one_executor;
   ]

