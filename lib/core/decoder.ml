@@ -37,20 +37,28 @@ let make (spec : Lis.Spec.t) : t =
   done;
   { lo; len; buckets = Array.map Array.of_list buckets }
 
-(** [decode t enc] is the instruction index matching [enc], or [-1]. *)
-let decode t enc =
+(* A plain loop: no closure, and [enc] stays unboxed when [decode_word]
+   reads it straight from frame storage. *)
+let[@inline] decode_enc t (enc : int64) =
   let key =
     Int64.to_int (Int64.shift_right_logical enc t.lo) land ((1 lsl t.len) - 1)
   in
   let cands = Array.unsafe_get t.buckets key in
   let n = Array.length cands in
-  let rec go i =
-    if i >= n then -1
-    else
-      let mask, mtch, idx = Array.unsafe_get cands i in
-      if Int64.equal (Int64.logand enc mask) mtch then idx else go (i + 1)
-  in
-  go 0
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i < n do
+    let mask, mtch, idx = Array.unsafe_get cands !i in
+    if (Int64.logand enc mask : int64) = mtch then found := idx;
+    incr i
+  done;
+  !found
+
+(** [decode t enc] is the instruction index matching [enc], or [-1]. *)
+let decode t enc = decode_enc t enc
+
+(** [decode_word t b off] decodes the encoding stored at byte [off] of
+    [b] ({!Machine.Raw.get64}). *)
+let decode_word t b off = decode_enc t (Machine.Raw.get64 b off)
 
 (** Largest candidate-list length (decoder quality metric for tests). *)
 let max_bucket t =

@@ -11,6 +11,10 @@ val make : Lis.Spec.t -> t
 (** [decode t enc] is the matching instruction index, or [-1]. *)
 val decode : t -> int64 -> int
 
+(** [decode_word t b off] decodes the word at byte [off] of [b] (read
+    with {!Machine.Raw.get64}) without boxing it. *)
+val decode_word : t -> Bytes.t -> int -> int
+
 (** Largest candidate-list length (decoder quality metric). *)
 val max_bucket : t -> int
 

@@ -4,8 +4,8 @@
     process; [buildset_to_ocaml] emits the same specialized simulator as
     readable OCaml source — the analog of the paper's LIS-to-C++
     synthesis. The emitted text shows exactly what the buildset bought:
-    hidden cells appear as scratch slots (or vanish entirely under DCE),
-    visible cells as DI-info stores, and each entrypoint is one function
+    hidden cells appear as scratch words (or vanish entirely under DCE),
+    visible cells as unboxed stores into the DI info words, and each entrypoint is one function
     per instruction. It is what a user inspects to understand the cost of
     an interface, and what they would paste into a standalone project. *)
 
@@ -19,15 +19,19 @@ let rec emit_expr (spec : Lis.Spec.t) (slots : Slots.t) b (e : Semir.Ir.expr) =
   | Cell c -> (
     match slots.loc.(c) with
     | Semir.Frame.In_di i ->
-      add (Printf.sprintf "fr.di.(%d) (* %s *)" i (Lis.Spec.cell_name spec c))
+      add
+        (Printf.sprintf "(Machine.Raw.get64 fr.di %d (* %s *))" (8 * i)
+           (Lis.Spec.cell_name spec c))
     | Semir.Frame.In_scratch i ->
-      add (Printf.sprintf "fr.scratch.(%d) (* %s *)" i (Lis.Spec.cell_name spec c)))
+      add
+        (Printf.sprintf "(Machine.Raw.get64 fr.scratch %d (* %s *))" (8 * i)
+           (Lis.Spec.cell_name spec c)))
   | Enc { lo; len; signed } ->
     add
-      (Printf.sprintf "Semir.Value.enc_bits fr.enc ~lo:%d ~len:%d ~signed:%b" lo
-         len signed)
-  | Pc -> add "fr.pc"
-  | Next_pc -> add "fr.next_pc"
+      (Printf.sprintf "Semir.Value.enc_bits (enc fr) ~lo:%d ~len:%d ~signed:%b"
+         lo len signed)
+  | Pc -> add "(pc fr)"
+  | Next_pc -> add "(next_pc fr)"
   | Bin (op, x, y) ->
     add "(";
     add
@@ -117,12 +121,15 @@ let rec emit_stmt spec slots b ~indent (s : Semir.Ir.stmt) =
   | Semir.Ir.Set_cell (c, e) ->
     (match slots.Slots.loc.(c) with
     | Semir.Frame.In_di i ->
-      add (Printf.sprintf "fr.di.(%d) (* %s *) <- " i (Lis.Spec.cell_name spec c))
+      add
+        (Printf.sprintf "Machine.Raw.set64 fr.di %d (* %s *) (" (8 * i)
+           (Lis.Spec.cell_name spec c))
     | Semir.Frame.In_scratch i ->
       add
-        (Printf.sprintf "fr.scratch.(%d) (* %s *) <- " i (Lis.Spec.cell_name spec c)));
+        (Printf.sprintf "Machine.Raw.set64 fr.scratch %d (* %s *) (" (8 * i)
+           (Lis.Spec.cell_name spec c)));
     emit_expr spec slots b e;
-    add ";"
+    add ");"
   | Store { width; addr; value } ->
     add "Machine.Memory.write st.Machine.State.mem ~addr:(";
     emit_expr spec slots b addr;
@@ -130,9 +137,9 @@ let rec emit_stmt spec slots b ~indent (s : Semir.Ir.stmt) =
     emit_expr spec slots b value;
     add ");"
   | Set_next_pc e ->
-    add "fr.next_pc <- ";
+    add "set_next_pc fr (";
     emit_expr spec slots b e;
-    add ";"
+    add ");"
   | Reg_write { cls; index; value } ->
     add (Printf.sprintf "Semir.Regaccess.write st.Machine.State.regs ~cls:%d (" cls);
     emit_expr spec slots b index;
@@ -154,7 +161,7 @@ let rec emit_stmt spec slots b ~indent (s : Semir.Ir.stmt) =
       add "end;")
   | Fault_illegal ->
     add
-      "Machine.State.raise_fault st (Machine.Fault.Illegal_instruction fr.enc);"
+      "Machine.State.raise_fault st (Machine.Fault.Illegal_instruction (enc fr));"
   | Fault_unaligned e ->
     add "Machine.State.raise_fault st (Machine.Fault.Unaligned_access (";
     emit_expr spec slots b e;

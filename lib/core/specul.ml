@@ -14,22 +14,27 @@
 
     The layout is tuned for the per-instruction fast path (this is the
     entire cost of a speculative interface, paper Table III's last row):
-    checkpoint marks are packed into immediate ints so a checkpoint is a
-    couple of unboxed stores plus a capacity check. *)
+    checkpoint marks are packed into immediate ints, and every logged
+    64-bit word (old register values, store addresses and old memory
+    words, checkpoint pc and count) lives in [Bytes] at 8 bytes per entry
+    ({!Machine.Raw}), so a checkpoint or a journaled write is a few
+    unboxed stores plus a capacity check and never allocates. *)
+
+open Machine
 
 type t = {
   mutable reg_flat : int array;
-  mutable reg_old : int64 array;
+  mutable reg_old : Bytes.t;
   mutable reg_n : int;
-  mutable mem_addr : int64 array;
-  mutable mem_old : int64 array;
+  mutable mem_addr : Bytes.t;
+  mutable mem_old : Bytes.t;
   mutable mem_width : int array;
   mutable mem_n : int;
   (* per checkpoint: packed (reg_n << 31) | mem_n, plus pc and retired
      count at checkpoint time *)
   mutable ck_meta : int array;
-  mutable ck_pc : int64 array;
-  mutable ck_count : int64 array;
+  mutable ck_pc : Bytes.t;
+  mutable ck_count : Bytes.t;
   mutable ck_n : int;
   mutable committed : int;  (** internal indices below this are committed *)
   mutable base : int;
@@ -42,18 +47,23 @@ type t = {
   mutable undone_stores : int;
 }
 
+let words n = Bytes.make (8 * n) '\000'
+
+(* [grow_words b] doubles a word log, keeping its contents. *)
+let grow_words b = Bytes.extend b 0 (Bytes.length b)
+
 let create () =
   {
     reg_flat = Array.make 256 0;
-    reg_old = Array.make 256 0L;
+    reg_old = words 256;
     reg_n = 0;
-    mem_addr = Array.make 256 0L;
-    mem_old = Array.make 256 0L;
+    mem_addr = words 256;
+    mem_old = words 256;
     mem_width = Array.make 256 0;
     mem_n = 0;
     ck_meta = Array.make 256 0;
-    ck_pc = Array.make 256 0L;
-    ck_count = Array.make 256 0L;
+    ck_pc = words 256;
+    ck_count = words 256;
     ck_n = 0;
     committed = 0;
     base = 0;
@@ -69,32 +79,32 @@ let meta_mem m = m land 0x7FFFFFFF
 let[@inline never] grow_regs t =
   let cap = 2 * Array.length t.reg_flat in
   t.reg_flat <- Array.append t.reg_flat (Array.make (cap / 2) 0);
-  t.reg_old <- Array.append t.reg_old (Array.make (cap / 2) 0L)
+  t.reg_old <- grow_words t.reg_old
 
 let[@inline never] grow_mem t =
-  let cap = 2 * Array.length t.mem_addr in
-  t.mem_addr <- Array.append t.mem_addr (Array.make (cap / 2) 0L);
-  t.mem_old <- Array.append t.mem_old (Array.make (cap / 2) 0L);
+  let cap = 2 * Array.length t.mem_width in
+  t.mem_addr <- grow_words t.mem_addr;
+  t.mem_old <- grow_words t.mem_old;
   t.mem_width <- Array.append t.mem_width (Array.make (cap / 2) 0)
 
 let[@inline never] grow_ck t =
   let cap = 2 * Array.length t.ck_meta in
   t.ck_meta <- Array.append t.ck_meta (Array.make (cap / 2) 0);
-  t.ck_pc <- Array.append t.ck_pc (Array.make (cap / 2) 0L);
-  t.ck_count <- Array.append t.ck_count (Array.make (cap / 2) 0L)
+  t.ck_pc <- grow_words t.ck_pc;
+  t.ck_count <- grow_words t.ck_count
 
-let record_reg t (st : Machine.State.t) flat =
+let record_reg t (st : State.t) flat =
   let n = t.reg_n in
   if n >= Array.length t.reg_flat then grow_regs t;
   Array.unsafe_set t.reg_flat n flat;
-  Array.unsafe_set t.reg_old n (Machine.Regfile.read_flat st.regs flat);
+  Raw.set64 t.reg_old (8 * n) (Raw.get64 st.regs.v (8 * flat));
   t.reg_n <- n + 1
 
-let record_store t (st : Machine.State.t) addr width =
+let record_store t (st : State.t) addr width =
   let n = t.mem_n in
-  if n >= Array.length t.mem_addr then grow_mem t;
-  Array.unsafe_set t.mem_addr n addr;
-  Array.unsafe_set t.mem_old n (Machine.Memory.read st.mem ~addr ~width);
+  if n >= Array.length t.mem_width then grow_mem t;
+  Raw.set64 t.mem_addr (8 * n) addr;
+  Memory.read_into st.mem ~addr:(Memory.addr_int addr) ~width t.mem_old (8 * n);
   Array.unsafe_set t.mem_width n width;
   t.mem_n <- n + 1
 
@@ -106,19 +116,19 @@ let hooks t : Semir.Hooks.t =
   }
 
 (** [checkpoint t st] opens a new speculative region and returns its token. *)
-let checkpoint t (st : Machine.State.t) : int =
+let checkpoint t (st : State.t) : int =
   let n = t.ck_n in
   if n >= Array.length t.ck_meta then grow_ck t;
   Array.unsafe_set t.ck_meta n (pack ~reg_n:t.reg_n ~mem_n:t.mem_n);
-  Array.unsafe_set t.ck_pc n st.pc;
-  Array.unsafe_set t.ck_count n st.instr_count;
+  Raw.set64 t.ck_pc (8 * n) st.pc;
+  Raw.set64 t.ck_count (8 * n) st.instr_count;
   t.ck_n <- n + 1;
   t.base + n
 
 (** [rollback t st token] undoes every architectural effect recorded since
     [checkpoint] returned [token], restoring pc and instruction count.
     @raise Invalid_argument if [token] was already committed or never issued. *)
-let rollback t (st : Machine.State.t) token =
+let rollback t (st : State.t) token =
   let token = token - t.base in
   if token < t.committed || token >= t.ck_n then
     invalid_arg "Specul.rollback: invalid token";
@@ -127,18 +137,22 @@ let rollback t (st : Machine.State.t) token =
   t.rollbacks <- t.rollbacks + 1;
   t.undone_regs <- t.undone_regs + (t.reg_n - reg_mark);
   t.undone_stores <- t.undone_stores + (t.mem_n - mem_mark);
+  (* logged register words were read from the register file, so they
+     already satisfy its write masks *)
   for i = t.reg_n - 1 downto reg_mark do
-    Machine.Regfile.write_flat st.regs t.reg_flat.(i) t.reg_old.(i)
+    Raw.set64 st.regs.v (8 * t.reg_flat.(i)) (Raw.get64 t.reg_old (8 * i))
   done;
   t.reg_n <- reg_mark;
   for i = t.mem_n - 1 downto mem_mark do
-    Machine.Memory.write st.mem ~addr:t.mem_addr.(i) ~width:t.mem_width.(i)
-      t.mem_old.(i)
+    Memory.write_from st.mem
+      ~addr:(Memory.addr_int (Raw.get64 t.mem_addr (8 * i)))
+      ~width:t.mem_width.(i) t.mem_old (8 * i)
   done;
   t.mem_n <- mem_mark;
-  st.pc <- t.ck_pc.(token);
-  st.next_pc <- t.ck_pc.(token);
-  st.instr_count <- t.ck_count.(token);
+  let pc = Raw.get64 t.ck_pc (8 * token) in
+  st.pc <- pc;
+  st.next_pc <- pc;
+  st.instr_count <- Raw.get64 t.ck_count (8 * token);
   (* Rolling back also cancels any fault raised speculatively. *)
   st.fault <- None;
   st.halted <- false;
@@ -171,17 +185,17 @@ let compact t =
     let live_ck = t.ck_n - ck0 in
     let reg0 = if live_ck > 0 then meta_reg t.ck_meta.(ck0) else t.reg_n in
     let mem0 = if live_ck > 0 then meta_mem t.ck_meta.(ck0) else t.mem_n in
-    Array.blit t.ck_pc ck0 t.ck_pc 0 live_ck;
-    Array.blit t.ck_count ck0 t.ck_count 0 live_ck;
+    Bytes.blit t.ck_pc (8 * ck0) t.ck_pc 0 (8 * live_ck);
+    Bytes.blit t.ck_count (8 * ck0) t.ck_count 0 (8 * live_ck);
     for i = 0 to live_ck - 1 do
       let m = t.ck_meta.(ck0 + i) in
       t.ck_meta.(i) <- pack ~reg_n:(meta_reg m - reg0) ~mem_n:(meta_mem m - mem0)
     done;
     Array.blit t.reg_flat reg0 t.reg_flat 0 (t.reg_n - reg0);
-    Array.blit t.reg_old reg0 t.reg_old 0 (t.reg_n - reg0);
+    Bytes.blit t.reg_old (8 * reg0) t.reg_old 0 (8 * (t.reg_n - reg0));
     t.reg_n <- t.reg_n - reg0;
-    Array.blit t.mem_addr mem0 t.mem_addr 0 (t.mem_n - mem0);
-    Array.blit t.mem_old mem0 t.mem_old 0 (t.mem_n - mem0);
+    Bytes.blit t.mem_addr (8 * mem0) t.mem_addr 0 (8 * (t.mem_n - mem0));
+    Bytes.blit t.mem_old (8 * mem0) t.mem_old 0 (8 * (t.mem_n - mem0));
     Array.blit t.mem_width mem0 t.mem_width 0 (t.mem_n - mem0);
     t.mem_n <- t.mem_n - mem0;
     t.ck_n <- live_ck;

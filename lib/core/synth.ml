@@ -181,6 +181,11 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(absint = true)
   let frame =
     Semir.Frame.create ~di_slots:slots.di_size ~scratch_slots:slots.scratch_size
   in
+  (* The frame's control words, read and written unboxed. *)
+  let ftmp = frame.tmp in
+  let pc_off = Semir.Frame.pc_off
+  and enc_off = Semir.Frame.enc_off
+  and next_pc_off = Semir.Frame.next_pc_off in
   let n_instrs = Array.length spec.instrs in
   let decoder = Decoder.make spec in
   let instr_bytes64 = Int64.of_int spec.instr_bytes in
@@ -313,17 +318,22 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(absint = true)
   (* --- execution ------------------------------------------------------ *)
   let exec_item (di : Di.t) = function
     | I_fetch ->
-      frame.enc <-
-        Memory.read st.mem ~addr:frame.pc ~width:spec.instr_bytes;
-      frame.next_pc <- Int64.add frame.pc instr_bytes64
+      let pc = Raw.get64 ftmp pc_off in
+      Memory.read_into st.mem ~addr:(Int64.to_int pc) ~width:spec.instr_bytes
+        ftmp enc_off;
+      Raw.set64 ftmp next_pc_off (Int64.add pc instr_bytes64)
     | I_decode codes ->
-      let idx = Decoder.decode decoder frame.enc in
+      let idx = Decoder.decode_word decoder ftmp enc_off in
       if idx < 0 then
-        State.raise_fault st (Fault.Illegal_instruction frame.enc)
+        State.raise_fault st
+          (Fault.Illegal_instruction (Raw.get64 ftmp enc_off))
       else begin
         di.instr_index <- idx;
-        frame.enc <- Int64.logand frame.enc (Array.unsafe_get size_mask idx);
-        frame.next_pc <- Int64.add frame.pc (Array.unsafe_get size64 idx);
+        let enc = Raw.get64 ftmp enc_off and pc = Raw.get64 ftmp pc_off in
+        Raw.set64 ftmp enc_off
+          (Int64.logand enc (Array.unsafe_get size_mask idx));
+        Raw.set64 ftmp next_pc_off
+          (Int64.add pc (Array.unsafe_get size64 idx));
         (Array.unsafe_get codes idx) st frame
       end
     | I_chunk codes ->
@@ -338,23 +348,24 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(absint = true)
   in
   let exec_items di (items : item array) =
     let n = Array.length items in
-    let rec go k =
-      if k < n && not st.halted then begin
-        exec_item di items.(k);
-        go (k + 1)
-      end
-    in
-    go 0
+    let k = ref 0 in
+    while !k < n && not st.halted do
+      exec_item di (Array.unsafe_get items !k);
+      incr k
+    done
   in
   let load_frame (di : Di.t) =
-    frame.pc <- di.pc;
-    frame.enc <- di.encoding;
-    frame.next_pc <- di.next_pc;
+    Raw.set64 ftmp pc_off di.pc;
+    Raw.set64 ftmp enc_off di.encoding;
+    Raw.set64 ftmp next_pc_off di.next_pc;
     frame.di <- di.info
   in
+  (* Header words are boxed only when they changed: most Step calls
+     leave both as they were. *)
   let save_frame (di : Di.t) =
-    di.encoding <- frame.enc;
-    di.next_pc <- frame.next_pc;
+    let enc = Raw.get64 ftmp enc_off and next_pc = Raw.get64 ftmp next_pc_off in
+    if enc <> di.encoding then di.encoding <- enc;
+    if next_pc <> di.next_pc then di.next_pc <- next_pc;
     di.fault <- st.fault
   in
 
@@ -473,13 +484,11 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(absint = true)
         let t0 = Obs.Clock.now_ns () in
         let items = ep_items.(k) in
         let n = Array.length items in
-        let rec go i =
-          if i < n && not st.halted then begin
-            exec_item_obs di items.(i);
-            go (i + 1)
-          end
-        in
-        go 0;
+        let i = ref 0 in
+        while !i < n && not st.halted do
+          exec_item_obs di items.(!i);
+          incr i
+        done;
         let dt = Obs.Clock.elapsed_ns t0 in
         R.incr crossings;
         R.incr ep_calls.(k);
@@ -517,16 +526,14 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(absint = true)
       di.fault <- None;
       auto_checkpoint di;
       load_frame di;
-      let rec go k =
-        if k < n_eps && not st.halted then begin
-          exec_ep di k;
-          go (k + 1)
-        end
-      in
-      go 0;
+      let k = ref 0 in
+      while !k < n_eps && not st.halted do
+        exec_ep di !k;
+        incr k
+      done;
       save_frame di;
       if not st.halted then begin
-        st.pc <- frame.next_pc;
+        st.pc <- di.next_pc;
         st.instr_count <- Int64.add st.instr_count 1L;
         stats.instrs_executed <- Int64.add stats.instrs_executed 1L
       end
@@ -622,7 +629,8 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(absint = true)
       c
   in
   let illegal_site : Semir.Compile.code =
-   fun st fr -> State.raise_fault st (Fault.Illegal_instruction fr.enc)
+   fun st fr ->
+    State.raise_fault st (Fault.Illegal_instruction (Raw.get64 fr.tmp enc_off))
   in
   (* Pages holding translated code, mapped to the blocks compiled from
      them; a write to such a page invalidates those blocks (and thereby
@@ -737,14 +745,14 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(absint = true)
   (* [trust] is the single-trust invariant ([b_valid] is the only thing
      dispatch believes); [Stale_chain] breaks it for every real block. *)
   let trust b = b.b_valid || (stale_chain && not (Int64.equal b.b_pc0 (-1L))) in
-  let lookup_from prev pc0 =
+  let lookup_from prev (pc0 : int64) =
     if not (trust prev) then find_block pc0
-    else if Int64.equal prev.b_s1_pc pc0 && trust prev.b_s1 then begin
+    else if prev.b_s1_pc = pc0 && trust prev.b_s1 then begin
       stats.Iface.chain_taken <- stats.Iface.chain_taken + 1;
       stats.Iface.block_hits <- stats.Iface.block_hits + 1;
       prev.b_s1
     end
-    else if Int64.equal prev.b_s2_pc pc0 && trust prev.b_s2 then begin
+    else if prev.b_s2_pc = pc0 && trust prev.b_s2 then begin
       let b = prev.b_s2 in
       prev.b_s2_pc <- prev.b_s1_pc;
       prev.b_s2 <- prev.b_s1;
@@ -769,7 +777,7 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(absint = true)
   let dispatch () =
     let pc0 = st.pc in
     let b = lookup_from !last_block pc0 in
-    if not (Int64.equal b.b_pc0 pc0) then
+    if b.b_pc0 <> pc0 then
       dispatch_invariant_violation st ~want:pc0 ~got:b.b_pc0;
     last_block := b;
     b
@@ -787,7 +795,19 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(absint = true)
     end
   in
   (* Sites write their visible cells here when no DI record is filled. *)
-  let scratch_di = Array.make (max 1 slots.di_size) 0L in
+  let scratch_di = Bytes.make (8 * max 1 slots.di_size) '\000' in
+  (* [boxed_next_pc b k] is the frame's next pc as a boxed value, reusing
+     one block [b] already holds — site [k]'s fall-through pc or a
+     successor-cache key — so the usual site and block exits store it
+     into a DI record or [st.pc] without allocating. *)
+  let boxed_next_pc b k =
+    let npc = Raw.get64 ftmp next_pc_off in
+    let fall = Array.unsafe_get b.b_pcs k in
+    if npc = fall then fall
+    else if npc = b.b_s1_pc then b.b_s1_pc
+    else if npc = b.b_s2_pc then b.b_s2_pc
+    else npc
+  in
   (* The site loop, shared by [run_block] and [run_fast]: runs block [b]
      from its first site, commits the retired count and returns it (a
      halting site retires nothing). With [fill] every site gets a DI
@@ -809,20 +829,20 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(absint = true)
     let k = ref 0 in
     let go = ref true in
     while !go do
-      let pc = Array.unsafe_get pcs !k in
-      frame.pc <- pc;
-      frame.enc <- Array.unsafe_get encs !k;
-      frame.next_pc <- Array.unsafe_get pcs (!k + 1);
+      let pc = Array.unsafe_get pcs !k and enc = Array.unsafe_get encs !k in
+      Raw.set64 ftmp pc_off pc;
+      Raw.set64 ftmp enc_off enc;
+      Raw.set64 ftmp next_pc_off (Array.unsafe_get pcs (!k + 1));
       if fill then begin
         let di = Array.unsafe_get dis !k in
         di.pc <- pc;
-        di.encoding <- frame.enc;
+        di.encoding <- enc;
         di.instr_index <- Array.unsafe_get idxs !k;
         di.fault <- None;
         auto_checkpoint di;
         frame.di <- di.info;
         (Array.unsafe_get codes !k) st frame;
-        di.next_pc <- frame.next_pc;
+        di.next_pc <- boxed_next_pc b (!k + 1);
         di.fault <- st.fault
       end
       else (Array.unsafe_get codes !k) st frame;
@@ -836,7 +856,8 @@ let make ?(backend = Compiled) ?(allow_hidden_crossing = false) ?(absint = true)
     if !k > 0 then begin
       (* the last executed site's next_pc is the continuation; on a halt
          the fetch pc stays put (rollback restores it anyway) *)
-      if not st.halted then st.pc <- frame.next_pc;
+      if not st.halted then
+        st.pc <- boxed_next_pc b !k;
       st.instr_count <- Int64.add st.instr_count (Int64.of_int !k);
       stats.instrs_executed <-
         Int64.add stats.instrs_executed (Int64.of_int !k)

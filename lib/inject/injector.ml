@@ -137,10 +137,10 @@ let inject_fault t ~index (st : Machine.State.t) =
   log t index Fault_sub "spurious arithmetic fault"
 
 let inject_di t ~index (di : Specsim.Di.t) =
-  let n = Array.length di.info in
+  let n = Specsim.Di.slots di in
   let slot = Prng.below ~seed:t.seed ~index ~salt:9 n in
-  di.info.(slot) <-
-    Int64.logxor di.info.(slot) (Prng.draw ~seed:t.seed ~index ~salt:10);
+  Specsim.Di.set di slot
+    (Int64.logxor (Specsim.Di.get di slot) (Prng.draw ~seed:t.seed ~index ~salt:10));
   log t index Di_slot (Printf.sprintf "di slot %d" slot)
 
 (** [bug t st di] — the per-instruction corruption hook. Keyed on

@@ -145,9 +145,11 @@ let write_bytes_slow t a width v =
         land 0xff)
     done
 
-let read t ~addr ~width =
+(* [read_int]/[write_int] take the address already truncated by
+   [to_int]; [read_into]/[write_from] use them to move a word between
+   memory and [Bytes] storage without boxing it. *)
+let[@inline] read_int t a width =
   check_width width;
-  let a = to_int addr in
   let off = a land page_mask in
   if off + width <= page_size then begin
     let p = page t (a lsr page_bits) in
@@ -163,15 +165,20 @@ let read t ~addr ~width =
   end
   else read_bytes_slow t a width
 
+let read t ~addr ~width = read_int t (to_int addr) width
+
+let read_into t ~addr ~width dst off =
+  let v = read_int t (addr land max_int) width in
+  Raw.set64 dst off v
+
 let sign_extend v width =
   let bits = 64 - (8 * width) in
   Int64.shift_right (Int64.shift_left v bits) bits
 
 let read_signed t ~addr ~width = sign_extend (read t ~addr ~width) width
 
-let write t ~addr ~width v =
+let[@inline] write_int t a width v =
   check_width width;
-  let a = to_int addr in
   let off = a land page_mask in
   if off + width <= page_size then begin
     let idx = a lsr page_bits in
@@ -189,6 +196,12 @@ let write t ~addr ~width v =
     then t.on_code_write idx
   end
   else write_bytes_slow t a width v
+
+let write t ~addr ~width v = write_int t (to_int addr) width v
+
+let write_from t ~addr ~width src off =
+  let v = Raw.get64 src off in
+  write_int t (addr land max_int) width v
 
 let load_bytes t addr b =
   for i = 0 to Bytes.length b - 1 do

@@ -29,6 +29,16 @@ val read_signed : t -> addr:int64 -> width:int -> int64
     @raise Invalid_argument on an unsupported width. *)
 val write : t -> addr:int64 -> width:int -> int64 -> unit
 
+(** [read_into t ~addr ~width dst off] is [read] with the address given
+    as {!addr_int} would truncate it, and the result stored with
+    {!Raw.set64} at byte [off] of [dst]: the engine's zero-allocation
+    access path. *)
+val read_into : t -> addr:int -> width:int -> Bytes.t -> int -> unit
+
+(** [write_from t ~addr ~width src off] is [write] of the word at byte
+    [off] of [src] (read with {!Raw.get64}). *)
+val write_from : t -> addr:int -> width:int -> Bytes.t -> int -> unit
+
 val read_byte : t -> int64 -> int
 val write_byte : t -> int64 -> int -> unit
 

@@ -9,7 +9,7 @@ type t = {
   classes : class_def array;
   bases : int array;
   total : int;
-  v : int64 array;
+  v : Bytes.t;  (* 8 bytes per flat register, read with [Raw.get64] *)
   (* Per-flat-register write mask; 0L marks a hardwired-zero register. *)
   masks : int64 array;
 }
@@ -50,9 +50,9 @@ let create classes =
         (match c.hardwired_zero with Some z when z = j -> 0L | _ -> m)
     done
   done;
-  { classes; bases; total = !total; v = Array.make !total 0L; masks }
+  { classes; bases; total = !total; v = Bytes.make (8 * !total) '\000'; masks }
 
-let copy t = { t with v = Array.copy t.v }
+let copy t = { t with v = Bytes.copy t.v }
 
 let class_index t name =
   let rec find i =
@@ -75,38 +75,37 @@ let check t ~cls ~idx =
       (Printf.sprintf "Regfile: index %d out of range for class %s" idx
          t.classes.(cls).cname)
 
+let read_flat t i = Raw.get64 t.v (8 * i)
+
+let write_flat t i value =
+  Raw.set64 t.v (8 * i) (Int64.logand value (Array.unsafe_get t.masks i))
+
 let read t ~cls ~idx =
   check t ~cls ~idx;
-  t.v.(t.bases.(cls) + idx)
+  read_flat t (t.bases.(cls) + idx)
 
 let write t ~cls ~idx value =
   check t ~cls ~idx;
-  let flat = t.bases.(cls) + idx in
-  t.v.(flat) <- Int64.logand value t.masks.(flat)
-
-let read_flat t i = Array.unsafe_get t.v i
-
-let write_flat t i value =
-  Array.unsafe_set t.v i (Int64.logand value (Array.unsafe_get t.masks i))
+  write_flat t (t.bases.(cls) + idx) value
 
 let is_hardwired_flat t i = Int64.equal t.masks.(i) 0L
 let mask_flat t i = t.masks.(i)
 
 let blit ~src ~dst =
   if src.total <> dst.total then invalid_arg "Regfile.blit: layout mismatch";
-  Array.blit src.v 0 dst.v 0 src.total
+  Bytes.blit src.v 0 dst.v 0 (8 * src.total)
 
 let equal a b =
   a.total = b.total
   && Array.for_all2 (fun (x : class_def) y -> x = y) a.classes b.classes
-  && Array.for_all2 Int64.equal a.v b.v
+  && Bytes.equal a.v b.v
 
 let pp ppf t =
   Array.iteri
     (fun ci c ->
       Format.fprintf ppf "@[<v 2>%s:@," c.cname;
       for i = 0 to c.count - 1 do
-        let v = t.v.(t.bases.(ci) + i) in
+        let v = read_flat t (t.bases.(ci) + i) in
         if not (Int64.equal v 0L) then
           Format.fprintf ppf "%s%d = 0x%Lx@," c.cname i v
       done;

@@ -14,7 +14,17 @@ type class_def = {
       (** index within the class that always reads as zero *)
 }
 
-type t
+(** The record is exposed read-only so compiled code can reach the
+    backing words directly: flat register [i] is the 8 bytes at [8 * i]
+    of [v] ({!Raw.get64}); [masks.(i)] is its write mask, [0L] for a
+    hardwired zero. Writers must apply the mask. *)
+type t = private {
+  classes : class_def array;
+  bases : int array;
+  total : int;
+  v : Bytes.t;
+  masks : int64 array;
+}
 
 (** [create classes] builds a register file with all registers zero.
     @raise Invalid_argument on duplicate class names or invalid sizes. *)

@@ -13,11 +13,15 @@ let rec expr (loc : Frame.location array) (st : State.t) (fr : Frame.t)
   match e with
   | Const v -> v
   | Cell c -> Frame.read fr loc.(c)
-  | Enc { lo; len; signed } -> Value.enc_bits fr.enc ~lo ~len ~signed
-  | Pc -> fr.pc
-  | Next_pc -> fr.next_pc
+  | Enc { lo; len; signed } -> Value.enc_bits (Frame.enc fr) ~lo ~len ~signed
+  | Pc -> Frame.pc fr
+  | Next_pc -> Frame.next_pc fr
   | Bin (op, a, b) ->
-    (Value.binop op) (expr loc st fr a) (expr loc st fr b)
+    (* operands left to right, as compiled code evaluates them: the
+       order decides which out-of-range register index raises first *)
+    let x = expr loc st fr a in
+    let y = expr loc st fr b in
+    (Value.binop op) x y
   | Un (op, a) -> (Value.unop op) (expr loc st fr a)
   | Ite (c, a, b) ->
     if Int64.equal (expr loc st fr c) 0L then expr loc st fr b
@@ -39,7 +43,7 @@ let rec stmt (hooks : Hooks.t option) (loc : Frame.location array)
     let w = mem_width width in
     (match hooks with Some h -> h.on_store st a w | None -> ());
     Memory.write st.mem ~addr:a ~width:w v
-  | Set_next_pc e -> fr.next_pc <- expr loc st fr e
+  | Set_next_pc e -> Frame.set_next_pc fr (expr loc st fr e)
   | Reg_write { cls; index; value } -> (
     let i = expr loc st fr index in
     let v = expr loc st fr value in
@@ -52,7 +56,8 @@ let rec stmt (hooks : Hooks.t option) (loc : Frame.location array)
   | If (c, t, f) ->
     if Int64.equal (expr loc st fr c) 0L then block hooks loc st fr f
     else block hooks loc st fr t
-  | Fault_illegal -> State.raise_fault st (Fault.Illegal_instruction fr.enc)
+  | Fault_illegal ->
+    State.raise_fault st (Fault.Illegal_instruction (Frame.enc fr))
   | Fault_unaligned e ->
     State.raise_fault st (Fault.Unaligned_access (expr loc st fr e))
   | Fault_arith msg -> State.raise_fault st (Fault.Arith msg)

@@ -9,11 +9,12 @@ let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
 (** [clamp ~count idx] maps an arbitrary 64-bit index expression value into
     [0, count): masked for power-of-two classes, bounds-checked otherwise. *)
-let clamp ~count idx =
-  let i = Int64.to_int idx in
+let clamp_int ~count i =
   if is_power_of_two count then i land (count - 1)
   else if i >= 0 && i < count then i
   else invalid_arg (Printf.sprintf "register index %d out of range (%d)" i count)
+
+let clamp ~count idx = clamp_int ~count (Int64.to_int idx)
 
 (** [flat regs ~cls idx] resolves a dynamic index to a flat register index. *)
 let flat (regs : Machine.Regfile.t) ~cls idx =

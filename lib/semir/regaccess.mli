@@ -10,6 +10,10 @@ val is_power_of_two : int -> bool
     classes. *)
 val clamp : count:int -> int64 -> int
 
+(** [clamp_int ~count i] is [clamp] of an index already converted with
+    [Int64.to_int]. *)
+val clamp_int : count:int -> int -> int
+
 (** [flat regs ~cls idx] resolves a dynamic index to a flat register index. *)
 val flat : Machine.Regfile.t -> cls:int -> int64 -> int
 

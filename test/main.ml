@@ -32,4 +32,5 @@ let () =
       ("super", Test_super.suite);
       ("prof", Test_prof.suite);
       ("fleet", Test_fleet.suite);
+      ("alloc", Test_alloc.suite);
     ]

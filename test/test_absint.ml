@@ -143,12 +143,12 @@ let check_instr_against_summary (spec : Lis.Spec.t)
   in
   let loc = Array.init n_cells (fun c -> Semir.Frame.In_scratch c) in
   let fr = Semir.Frame.create ~di_slots:1 ~scratch_slots:n_cells in
-  fr.pc <- 0x1000L;
-  fr.next_pc <- 0x1004L;
-  fr.enc <- enc;
+  Semir.Frame.set_pc fr 0x1000L;
+  Semir.Frame.set_next_pc fr 0x1004L;
+  Semir.Frame.set_enc fr enc;
   let sentinel c = Int64.of_int (0x5EED0000 + (c * 7919)) in
   for c = 0 to n_cells - 1 do
-    fr.scratch.(c) <- sentinel c
+    Semir.Frame.write fr loc.(c) (sentinel c)
   done;
   List.iter
     (fun (_, p) -> Semir.Eval.exec ~hooks ~loc st fr p)
@@ -172,7 +172,7 @@ let check_instr_against_summary (spec : Lis.Spec.t)
         fail "register class %d written but absent from reg_writes" cls)
     !reg_writes;
   for c = 0 to n_cells - 1 do
-    if fr.scratch.(c) <> sentinel c && not (Iset.mem c e.A.writes) then
+    if Semir.Frame.read fr loc.(c) <> sentinel c && not (Iset.mem c e.A.writes) then
       fail "cell '%s' written but absent from the static write set"
         (Lis.Spec.cell_name spec c)
   done;

@@ -1,0 +1,76 @@
+(** Allocation gate: minor-heap words per simulated instruction in steady
+    state, for every bench kernel through block_min (chained blocks),
+    one_min (one call per instruction) and step_all (one call per
+    entrypoint) on each ISA. Words per instruction repeat exactly from
+    run to run, so unlike wall-clock time they can gate a change: each
+    ceiling is the measured value plus at most 10%. *)
+
+let warmup = 20_000
+let measured = 30_000
+
+(* The bench harness's driver: [run_n] for single-entrypoint
+   interfaces, otherwise every entrypoint of every instruction in order,
+   then retire. *)
+let drive (iface : Specsim.Iface.t) budget =
+  let n_eps = Specsim.Iface.n_entrypoints iface in
+  if n_eps = 1 then Specsim.Iface.run_n iface budget
+  else begin
+    let st = iface.st in
+    let start = st.instr_count in
+    let di = Specsim.Di.create ~info_slots:iface.slots.di_size in
+    let executed () = Int64.to_int (Int64.sub st.instr_count start) in
+    while (not st.halted) && executed () < budget do
+      di.pc <- st.pc;
+      di.instr_index <- -1;
+      di.fault <- None;
+      let k = ref 0 in
+      while !k < n_eps && not st.halted do
+        iface.step di !k;
+        incr k
+      done;
+      if not st.halted then iface.retire di
+    done;
+    executed ()
+  end
+
+(* Words per instruction over the measured window of every bench kernel. *)
+let words_per_instr (t : Workload.target) bs =
+  let words = ref 0. and instrs = ref 0 in
+  List.iter
+    (fun (k : Vir.Kernels.sized) ->
+      let l = Workload.load t ~buildset:bs k.program in
+      ignore (drive l.iface warmup);
+      Gc.minor ();
+      let w0 = Gc.minor_words () in
+      let n = drive l.iface measured in
+      words := !words +. (Gc.minor_words () -. w0);
+      instrs := !instrs + n)
+    Vir.Kernels.bench_suite;
+  !words /. float_of_int !instrs
+
+(* (ISA, buildset, ceiling). Measured on OCaml 5.1.1 without flambda:
+   block_min 1.07 / 1.37 / 1.11 / 1.28, one_min 12.40 / 12.37 / 12.39 /
+   12.42, step_all 12.73 / 12.74 / 12.77 / 14.36 (alpha / arm / ppc /
+   riscv). *)
+let ceilings =
+  [
+    ("alpha", "block_min", 1.13); ("arm", "block_min", 1.44);
+    ("ppc", "block_min", 1.17); ("riscv", "block_min", 1.35);
+    ("alpha", "one_min", 13.0); ("arm", "one_min", 13.0);
+    ("ppc", "one_min", 13.0); ("riscv", "one_min", 13.1);
+    ("alpha", "step_all", 13.4); ("arm", "step_all", 13.4);
+    ("ppc", "step_all", 13.4); ("riscv", "step_all", 15.1);
+  ]
+
+let check (isa, bs, ceiling) () =
+  let w = words_per_instr (Workload.find_target isa) bs in
+  if w > ceiling then
+    Alcotest.failf "%s %s allocates %.3f minor words/instr (ceiling %.2f)" isa bs w
+      ceiling
+
+let suite =
+  List.map
+    (fun ((isa, bs, _) as c) ->
+      Alcotest.test_case (Printf.sprintf "minor words/instr: %s %s" isa bs) `Quick
+        (check c))
+    ceilings

@@ -179,10 +179,11 @@ let test_emit_reflects_visibility () =
   let spec = demo () in
   let all = Specsim.Emit.buildset_to_ocaml spec "one_all" in
   let min = Specsim.Emit.buildset_to_ocaml spec "one_min" in
-  Alcotest.(check bool) "All stores into DI" true (contains all "fr.di.(");
-  Alcotest.(check bool) "Min never stores into DI" false (contains min "fr.di.(");
+  Alcotest.(check bool) "All stores into DI" true (contains all "set64 fr.di");
+  Alcotest.(check bool) "Min never stores into DI" false
+    (contains min "set64 fr.di");
   Alcotest.(check bool) "Min keeps needed values in scratch" true
-    (contains min "fr.scratch.(");
+    (contains min "set64 fr.scratch");
   (* the opclass decode-information store is dead at Min and eliminated *)
   Alcotest.(check bool) "All records opclass" true (contains all "opclass");
   Alcotest.(check bool) "Min eliminates the opclass store" false

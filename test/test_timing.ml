@@ -242,6 +242,60 @@ let test_sampling () =
     (r.sampled_fraction < 0.5 && r.sampled_fraction > 0.0);
   Alcotest.(check bool) "ipc estimated" true (r.estimated_ipc > 0.0)
 
+(* ----------------------------------------------------------------- *)
+(* Taken-branch accounting on a 2-byte ISA                             *)
+(* ----------------------------------------------------------------- *)
+
+(* tiny16: r1 = 1, then [n] BEQZ r1 that never branch, then exit. Every
+   fall-through is pc + 2, so a "taken = next_pc <> pc + 4" test would
+   call each one taken. *)
+let never_taken = 3000
+
+let tiny_fallthrough_iface bs =
+  let spec = Lazy.force Fuzz.Tiny.spec in
+  let iface = Specsim.Synth.make spec bs in
+  let st = iface.st in
+  let os = Machine.Os_emu.create () in
+  (match spec.abi with
+  | Some abi -> Machine.Os_emu.install os abi st
+  | None -> Alcotest.fail "tiny16 has no abi");
+  let prog =
+    Fuzz.Tiny.(
+      [ addi ~ra:7 ~imm:1 ~rc:1 ]
+      @ List.init never_taken (fun _ -> beqz ~ra:1 ~off:5)
+      @ [ addi ~ra:7 ~imm:0 ~rc:0 (* nr = sys_exit *); sys ])
+  in
+  List.iteri
+    (fun i w ->
+      Machine.Memory.write st.mem
+        ~addr:(Int64.add 0x1000L (Int64.of_int (2 * i)))
+        ~width:2 w)
+    prog;
+  Machine.State.reset st ~pc:0x1000L;
+  iface
+
+let test_funcfirst_tiny16_fallthrough () =
+  let t = Timing.Funcfirst.create (tiny_fallthrough_iface "one_min") in
+  let r = Timing.Funcfirst.run t ~budget:100_000 in
+  (* the exiting syscall halts and does not retire *)
+  Alcotest.(check int64) "ran the whole program"
+    (Int64.of_int (never_taken + 2)) r.instructions;
+  let predictions, mispredictions =
+    Timing.Predictor.stats t.Timing.Funcfirst.predictor
+  in
+  Alcotest.(check int64) "every BEQZ predicted" (Int64.of_int never_taken)
+    predictions;
+  Alcotest.(check bool)
+    (Printf.sprintf "fall-throughs train not-taken (%Ld mispredictions)"
+       mispredictions)
+    true
+    (Int64.compare mispredictions 4L <= 0)
+
+let test_mix_tiny16_taken_count () =
+  let s = Instr_mix.collect_iface (tiny_fallthrough_iface "one_decode") in
+  Alcotest.(check int64) "branches" (Int64.of_int never_taken) s.branches;
+  Alcotest.(check int64) "none taken" 0L s.taken_branches
+
 let suite =
   [
     Alcotest.test_case "cache basic" `Quick test_cache_basic;
@@ -263,4 +317,8 @@ let suite =
     Alcotest.test_case "spec-ff no divergence" `Quick test_specff_no_divergence;
     Alcotest.test_case "spec-ff rollbacks" `Quick test_specff_rollbacks;
     Alcotest.test_case "sampling" `Quick test_sampling;
+    Alcotest.test_case "functional-first tiny16 fall-through" `Quick
+      test_funcfirst_tiny16_fallthrough;
+    Alcotest.test_case "instr mix tiny16 taken count" `Quick
+      test_mix_tiny16_taken_count;
   ]

@@ -7,6 +7,7 @@
 # metrics series, --trace-cap validation), a dispatch-stats check
 # that block chaining and site sharing engage, and a check that a
 # malformed fuzz reproducer is rejected with a diagnostic, not a crash.
+# The benchmark's own selftests run right after the test suite.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -18,6 +19,9 @@ dune build
 
 echo "== dune runtest =="
 dune runtest
+
+echo "== benchmark selftests (block, Funcfirst, Specff rollback, Directed, Stride4 kill) =="
+dune build @perfbench/benchcheck
 
 echo "== lislint: shipped descriptions must be clean, all buildsets =="
 dune exec bin/lisim.exe -- check --builtin all
