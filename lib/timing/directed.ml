@@ -82,11 +82,6 @@ let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
       "Directed.run: needs a seven-entrypoint Step interface (e.g. step_all)";
   let st = iface.st in
   let kinds = Specsim.Classify.of_spec iface.spec in
-  let instrs = iface.spec.instrs in
-  (* bytes to the fall-through: the fetch stride until decode knows better *)
-  let size_of (di : Specsim.Di.t) =
-    if di.instr_index >= 0 then instrs.(di.instr_index).Lis.Spec.i_size else 4
-  in
   let slot_of_cell c = iface.slots.di_slot_of_cell.(c) in
   let regs = st.regs in
   let flat_of (cls, id_cell) (di : Specsim.Di.t) =
@@ -149,11 +144,7 @@ let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
     if ex.busy && not st.halted && not stages.(3).busy then begin
       iface.step ex.di ep_execute;
       (* branch resolution: not-taken fetch policy *)
-      if
-        not
-          (Int64.equal ex.di.next_pc
-             (Int64.add ex.di.pc (Int64.of_int (size_of ex.di))))
-      then begin
+      if not (Specsim.Di.falls_through iface.spec ex.di) then begin
         clear stages.(0);
         clear stages.(1);
         (* a squashed younger syscall no longer serializes *)
@@ -197,7 +188,7 @@ let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
           end;
           (* not 4 bytes long: the younger fetch went to the wrong
              address; refetch at the fall-through *)
-          let size = size_of id.di in
+          let size = Specsim.Di.size iface.spec id.di in
           if size <> 4 then begin
             clear stages.(0);
             fetch_pc := Int64.add id.di.pc (Int64.of_int size)
