@@ -18,7 +18,8 @@ val l2_default : config
 
 type t
 
-(** @raise Invalid_argument unless the set count is a power of two. *)
+(** @raise Invalid_argument unless [ways >= 1], [line_bytes] is a power
+    of two of at least 4 and the set count is a power of two. *)
 val create : config -> t
 
 val reset : t -> unit
@@ -28,6 +29,14 @@ val access : t -> int64 -> bool
 
 (** [latency t addr] combines an access with the configured latencies. *)
 val latency : t -> int64 -> int
+
+(** log2 of the line size: address [a] lies in line number
+    [Int64.to_int (Int64.shift_right_logical a (line_bits t))]. *)
+val line_bits : t -> int
+
+(** [latency_line t line] is {!latency} for an address in line number
+    [line]: timing models compute the line from an unboxed word. *)
+val latency_line : t -> int -> int
 
 val miss_rate : t -> float
 

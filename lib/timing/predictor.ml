@@ -10,8 +10,8 @@ type t = {
   table : int array;  (** 2-bit saturating counters *)
   mask : int;
   mutable history : int;
-  mutable predictions : int64;
-  mutable mispredictions : int64;
+  mutable predictions : int;
+  mutable mispredictions : int;
 }
 
 let create kind =
@@ -22,8 +22,8 @@ let create kind =
     table = Array.make (max n 1) 1 (* weakly not-taken *);
     mask = n - 1;
     history = 0;
-    predictions = 0L;
-    mispredictions = 0L;
+    predictions = 0;
+    mispredictions = 0;
   }
 
 let index t (pc : int64) =
@@ -42,9 +42,8 @@ let predict t ~pc : bool =
 (** [update t ~pc ~taken] trains the predictor and records accuracy. *)
 let update t ~pc ~taken =
   let predicted = predict t ~pc in
-  t.predictions <- Int64.add t.predictions 1L;
-  if predicted <> taken then
-    t.mispredictions <- Int64.add t.mispredictions 1L;
+  t.predictions <- t.predictions + 1;
+  if predicted <> taken then t.mispredictions <- t.mispredictions + 1;
   (match t.kind with
   | Static_taken | Static_not_taken -> ()
   | Bimodal _ | Gshare _ ->
@@ -57,7 +56,7 @@ let update t ~pc ~taken =
   predicted
 
 let misprediction_rate t =
-  if Int64.equal t.predictions 0L then 0.
-  else Int64.to_float t.mispredictions /. Int64.to_float t.predictions
+  if t.predictions = 0 then 0.
+  else float_of_int t.mispredictions /. float_of_int t.predictions
 
-let stats t = (t.predictions, t.mispredictions)
+let stats t = (Int64.of_int t.predictions, Int64.of_int t.mispredictions)
