@@ -78,15 +78,25 @@ let json_of_entry (e : entry) : Obs.Export.json =
 
 (** [open_ ~path ~meta] opens [path] for appending, creating it (and
     writing one meta line from the [meta] key/value pairs) when absent
-    or empty. Appending to an existing journal never rewrites history. *)
+    or empty. Appending to an existing journal never rewrites history;
+    a torn last line (no newline, as a kill mid-write leaves it) is
+    ended first, so the next record starts a line of its own. *)
 let open_ ~path ~(meta : (string * Obs.Export.json) list) : writer =
-  let fresh =
-    (not (Sys.file_exists path)) || (Unix.stat path).Unix.st_size = 0
+  let size = if Sys.file_exists path then (Unix.stat path).Unix.st_size else 0 in
+  let torn_tail =
+    size > 0
+    && In_channel.with_open_bin path (fun ic ->
+           In_channel.seek ic (Int64.of_int (size - 1));
+           In_channel.input_char ic <> Some '\n')
   in
   let oc =
     open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
   in
-  if fresh then begin
+  if torn_tail then begin
+    output_char oc '\n';
+    flush oc
+  end;
+  if size = 0 then begin
     let line =
       Obs.Export.to_string
         (Obs.Export.Obj

@@ -111,6 +111,16 @@ let test_journal_torn_tail () =
   Alcotest.(check int) "torn counted" 1 v.Super.Journal.v_torn;
   Alcotest.(check bool) "complete prefix usable" true
     (Super.Journal.is_complete v "case/a");
+  (* resuming after the kill: the next case line must not be glued onto
+     the torn fragment *)
+  let w = Super.Journal.open_ ~path ~meta:[] in
+  Super.Journal.record w
+    (Super.Journal.entry ~attempts:1 ~outcome:Super.Journal.Pass "case/b");
+  Super.Journal.close w;
+  let v = Super.Journal.load ~path in
+  Alcotest.(check bool) "case after a torn tail survives" true
+    (Super.Journal.is_complete v "case/b");
+  Alcotest.(check int) "only the fragment is torn" 1 v.Super.Journal.v_torn;
   Alcotest.(check bool) "missing file is empty" true
     ((Super.Journal.load ~path:(path ^ ".absent")).Super.Journal.v_torn = 0
     && not (Super.Journal.is_complete (Super.Journal.load ~path:(path ^ ".absent")) "x"));
@@ -412,6 +422,34 @@ let test_campaign_quarantines_defect () =
   Unix.rmdir quarantine;
   Sys.remove journal
 
+let test_inject_resume_keys_config () =
+  (* a resumed injection campaign may only skip cells it would compute
+     identically: budget and sites are part of the case id *)
+  let journal = tmp_path "inject-journal" in
+  let quarantine = tmp_path "inject-quarantine" in
+  if Sys.file_exists journal then Sys.remove journal;
+  let cfg =
+    {
+      Inject.Campaign.default_config with
+      budget = 20_000;
+      sites = [ Inject.Injector.Reg_bitflip ];
+    }
+  in
+  let executed ?(resume = true) cfg =
+    Super.Inject_run.run ~isas:[ "alpha" ] ~journal ~quarantine ~resume cfg
+    |> List.filter (fun c -> not c.Super.Inject_run.c_skipped)
+    |> List.length
+  in
+  Alcotest.(check int) "first run executes the cell" 1
+    (executed ~resume:false cfg);
+  Alcotest.(check int) "same configuration resumes" 0 (executed cfg);
+  Alcotest.(check int) "other sites execute again" 1
+    (executed { cfg with sites = [ Inject.Injector.Mem_byte ] });
+  Alcotest.(check int) "other budget executes again" 1
+    (executed { cfg with budget = 30_000 });
+  Sys.remove journal;
+  Unix.rmdir quarantine
+
 let suite =
   [
     Alcotest.test_case "failure taxonomy" `Quick test_taxonomy;
@@ -435,4 +473,6 @@ let suite =
       test_campaign_resume_no_case_twice;
     Alcotest.test_case "campaign quarantines a seeded defect" `Quick
       test_campaign_quarantines_defect;
+    Alcotest.test_case "inject resume keys on budget and sites" `Quick
+      test_inject_resume_keys_config;
   ]
