@@ -989,15 +989,12 @@ let fleet_bench () =
     (String.concat " " (List.map string_of_int levels));
   let budget = if !quick then 200 else 600 in
   let hunt_rate ~isa ~jobs =
-    let run fleet =
-      let t0 = Unix.gettimeofday () in
-      let o = Fuzz.Driver.hunt ~isa ~seed:42L ~budget ?fleet () in
-      let dt = Unix.gettimeofday () -. t0 in
-      assert (o.Fuzz.Driver.o_found = None);
-      float_of_int o.Fuzz.Driver.o_execs /. dt
-    in
-    if jobs <= 1 then run None
-    else Fleet.with_pool ~jobs (fun fl -> run (Some fl))
+    Fleet.with_pool ~jobs (fun fleet ->
+        let t0 = Unix.gettimeofday () in
+        let o = Fuzz.Driver.hunt ~isa ~seed:42L ~budget ~fleet () in
+        let dt = Unix.gettimeofday () -. t0 in
+        assert (o.Fuzz.Driver.o_found = None);
+        float_of_int o.Fuzz.Driver.o_execs /. dt)
   in
   Printf.printf "%-6s %s\n" "isa"
     (String.concat " "
@@ -1068,13 +1065,10 @@ let fleet_bench () =
         buildsets = [ "block_min" ];
       }
     in
-    let run fleet =
-      ignore
-        (Fuzz.Campaign.run ~cfg ?fleet ~isa:"tiny" ~seed:0xBEEFL ~budget:10
-           ~journal ~quarantine:dir ())
-    in
-    if jobs <= 1 then run None
-    else Fleet.with_pool ~jobs (fun fl -> run (Some fl));
+    Fleet.with_pool ~jobs (fun fleet ->
+        ignore
+          (Fuzz.Campaign.run ~cfg ~fleet ~isa:"tiny" ~seed:0xBEEFL ~budget:10
+             ~journal ~quarantine:dir ()));
     let files = List.sort String.compare (Array.to_list (Sys.readdir dir)) in
     let d =
       Digest.string

@@ -166,9 +166,9 @@ let jobs_arg =
         ~doc:
           "Campaign parallelism: spread independent cases over N domains. \
            Defaults to the LISIM_JOBS environment variable, then to the \
-           host's recommended domain count. $(b,--jobs 1) runs the exact \
-           sequential driver; results (quarantined reproducers, merged \
-           counter totals) are identical at every N.")
+           host's recommended domain count. $(b,--jobs 1) runs the same \
+           driver inline on the calling domain; results (quarantined \
+           reproducers, merged counter totals) are identical at every N.")
 
 let resolve_jobs jobs =
   let bad what v =
@@ -184,11 +184,6 @@ let resolve_jobs jobs =
       | Some n when n > 0 -> n
       | _ -> bad "LISIM_JOBS" s)
     | None -> Domain.recommended_domain_count ())
-
-(** [with_fleet jobs f] — [f (Some pool)] when parallelism was requested,
-    [f None] (the untouched sequential path) for [--jobs 1]. *)
-let with_fleet jobs f =
-  if jobs > 1 then Fleet.with_pool ~jobs (fun fl -> f (Some fl)) else f None
 
 let print_counters (o : Obs.t) =
   Format.printf "%a@?" Obs.Export.pp_snapshot (Obs.snapshot o)
@@ -1064,47 +1059,17 @@ let inject_cmd =
             obs
         in
         let cells =
-          with_fleet jobs (fun fleet ->
+          Fleet.with_pool ~jobs (fun fleet ->
               Super.Inject_run.run ~isas ~kernel ?obs ?stats:sstats ?metrics
-                ?fleet ~journal ~quarantine ~resume cfg)
+                ~fleet ~journal ~quarantine ~resume cfg)
         in
         Format.printf "%a" Super.Inject_run.pp_cells cells;
         (* coverage gating applies only to cells executed this run *)
         List.filter_map (fun c -> c.Super.Inject_run.c_report) cells
       | None ->
         let reports =
-          with_fleet jobs (fun fleet ->
-              match fleet with
-              | Some fl when List.length isas > 1 ->
-                (* one cell per worker; per-worker obs mirrors are merged
-                   back so the aggregate inject.* counters stay exact *)
-                List.iter
-                  (fun isa ->
-                    ignore
-                      (Lazy.force (Workload.find_target isa).Workload.spec))
-                  isas;
-                let workers =
-                  Array.init (Fleet.jobs fl) (fun _ ->
-                      Super.Supervisor.worker_ctx ?obs ())
-                in
-                let out =
-                  Fleet.map fl ~workers
-                    ~tasks:
-                      (Array.of_list
-                         (List.map
-                            (fun isa (ws : Super.Supervisor.worker_ctx) ->
-                              Inject.Campaign.run ~isas:[ isa ] ~kernel
-                                ?obs:ws.Super.Supervisor.wc_obs cfg)
-                            isas))
-                in
-                Option.iter
-                  (fun o ->
-                    Array.iter
-                      (Super.Supervisor.join_worker_ctx ?obs ~into:o)
-                      workers)
-                  obs;
-                List.concat (Array.to_list out)
-              | _ -> Inject.Campaign.run ?obs ~isas ~kernel cfg)
+          Fleet.with_pool ~jobs (fun fleet ->
+              Super.Inject_run.reports ~isas ~kernel ?obs ~fleet cfg)
         in
         List.iter (Format.printf "%a@." Inject.Campaign.pp_report) reports;
         Format.printf "%a" Inject.Campaign.pp_summary reports;
@@ -1340,11 +1305,11 @@ let fuzz_cmd =
       let stats = Super.Supervisor.of_registry o.Obs.reg in
       let metrics = open_metrics metrics_out ~interval_ms:metrics_interval in
       (* case ids embed the isa, so one journal serves the whole sweep *)
-      with_fleet jobs (fun fleet ->
+      Fleet.with_pool ~jobs (fun fleet ->
           List.iter
             (fun isa ->
               let p =
-                Fuzz.Campaign.run ~cfg ~obs:o ~stats ?metrics ?fleet ~isa ~seed
+                Fuzz.Campaign.run ~cfg ~obs:o ~stats ?metrics ~fleet ~isa ~seed
                   ~budget ~journal ~quarantine ~resume ()
               in
               Format.printf "%a" Fuzz.Campaign.pp_report p)
@@ -1377,10 +1342,10 @@ let fuzz_cmd =
       let mobs = Obs.create () in
       let metrics = open_metrics metrics_out ~interval_ms:metrics_interval in
       let rc = ref 0 in
-      with_fleet jobs (fun fleet ->
+      Fleet.with_pool ~jobs (fun fleet ->
       List.iter
         (fun isa ->
-          let o = Fuzz.Driver.hunt ~cfg ?fleet ~isa ~seed ~budget () in
+          let o = Fuzz.Driver.hunt ~cfg ~fleet ~isa ~seed ~budget () in
           (match metrics with
           | Some m -> Obs.metrics_tick m mobs
           | None -> ());

@@ -100,8 +100,17 @@ let create ?jobs:(n = Domain.recommended_domain_count ()) () =
       domains = [||];
     }
   in
-  t.domains <- Array.init n (fun slot -> Domain.spawn (fun () -> worker t slot));
+  if n > 1 then
+    t.domains <-
+      Array.init n (fun slot -> Domain.spawn (fun () -> worker t slot));
   t
+
+(* One job: each task runs on the calling domain, in index order, and is
+   completed before the next starts; an exception leaves at once. *)
+let run_inline t ~workers ~tasks ~complete =
+  if t.stop then
+    Machine.Sim_error.raisef ~component:"fleet" "fleet is shut down";
+  Array.iteri (fun k task -> complete k (task workers.(0))) tasks
 
 let run (type w a) t ~(workers : w array) ~(tasks : (w -> a) array)
     ~(complete : int -> a -> unit) =
@@ -114,7 +123,8 @@ let run (type w a) t ~(workers : w array) ~(tasks : (w -> a) array)
           ("workers", string_of_int (Array.length workers));
         ]
       "per-worker state array must match the fleet size";
-  if n > 0 then begin
+  if t.n_jobs = 1 then run_inline t ~workers ~tasks ~complete
+  else if n > 0 then begin
     let results = Array.make n (Raised (Exit, Printexc.get_callstack 0)) in
     let thunk k slot =
       (results.(k) <-

@@ -14,7 +14,10 @@
 
     Exceptions raised by tasks are captured per task and re-raised on
     the collector after the batch drains (lowest task index first), so
-    {!Machine.Sim_error} taxonomy and exit codes propagate unchanged. *)
+    {!Machine.Sim_error} taxonomy and exit codes propagate unchanged.
+    A one-job fleet is the sequential case of the same contract: no
+    domain, tasks inline in index order, the first exception stops the
+    batch. *)
 
 module Deque = Deque
 
@@ -22,7 +25,8 @@ type t
 
 (** [create ~jobs ()] spawns [jobs] worker domains (default
     {!Domain.recommended_domain_count}), parked until the first batch.
-    [jobs] must be positive. *)
+    [jobs] must be positive. A one-job fleet spawns no domain at all:
+    its batches run inline on the calling domain (see {!run}). *)
 val create : ?jobs:int -> unit -> t
 
 val jobs : t -> int
@@ -34,7 +38,13 @@ val jobs : t -> int
     [workers] must have length [jobs t]. Returns when every task has
     completed and every completion has been consumed; if tasks raised,
     the exception of the lowest-indexed raising task is re-raised here
-    (after all completions of successful tasks were delivered). *)
+    (after all completions of successful tasks were delivered).
+
+    With one job the batch runs inline on the calling domain, in index
+    order: [tasks.(k)] runs, then [complete k], then [tasks.(k+1)]. The
+    first exception (from a task or from [complete]) stops the batch at
+    once — later tasks never run — which is exactly a sequential loop,
+    so a caller never branches on the job count. *)
 val run :
   t ->
   workers:'w array ->

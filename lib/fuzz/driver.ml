@@ -24,43 +24,50 @@ type outcome = {
   o_shrink_tests : int;
 }
 
-(* Fleet search: the budget window is scanned in rounds of a few
-   programs' worth of slots; each slot regenerates its program from
-   [(seed, slot / n_buildsets)] — pure, so any worker can own any slot
-   — and the first divergence in slot order wins. The outcome (and its
-   reported execs/programs accounting) is exactly the sequential
-   hunt's; a round may merely execute a few slots past the hit. *)
-let hunt_fleet ~cfg fl ~isa ~seed ~budget : outcome =
+exception Hit of int * Gen.testcase * Oracle.divergence
+
+(** [hunt ?cfg ?fleet ~isa ~seed ~budget ()] searches for a divergence,
+    stopping at the first one found (then shrinking it) or when [budget]
+    oracle executions are spent.
+
+    Budget slot [k] regenerates its program from [(seed, k / nbs)] —
+    pure, so any worker can own any slot. The window is scanned in
+    rounds of a few programs' worth of slots on the {!Super.Campaign}
+    skeleton; a diverging slot raises [Hit], and the fleet re-raises the
+    lowest-indexed one, so the first divergence in slot order wins at
+    every job count. With one job (or no [fleet]) a round runs inline
+    and stops at the hit; with more, a round may execute a few slots
+    past it, but the outcome is the same. *)
+let hunt ?(cfg = Oracle.default_config) ?fleet ~isa ~seed ~budget () : outcome
+    =
   let spec = spec_of_isa isa in
   let cx = Gen.make_ctx ~isa spec in
+  let budget = max 0 budget in
   let buildsets = Array.of_list cfg.Oracle.buildsets in
   let nbs = Array.length buildsets in
-  let workers = Array.make (Fleet.jobs fl) () in
-  let chunk = nbs * max 2 (Fleet.jobs fl) in
-  let found = ref None in
-  let base = ref 0 in
-  while !found = None && !base < budget do
-    let n = min chunk (budget - !base) in
-    let results =
-      Fleet.map fl ~workers
-        ~tasks:
-          (Array.init n (fun i ->
-               let k = !base + i in
-               fun () ->
-                 let tc = Gen.generate cx ~seed ~index:(k / nbs) in
-                 match
-                   Oracle.run_pair spec cfg tc ~buildset:buildsets.(k mod nbs)
-                 with
-                 | Some d -> Some (k, tc, d)
-                 | None -> None))
-    in
-    (* ascending slot order: the first hit is the sequential one *)
-    Array.iter
-      (fun r -> if !found = None then found := r)
-      results;
-    base := !base + n
-  done;
-  match !found with
+  let slot k _ =
+    let tc = Gen.generate cx ~seed ~index:(k / nbs) in
+    match Oracle.run_pair spec cfg tc ~buildset:buildsets.(k mod nbs) with
+    | Some d -> raise (Hit (k, tc, d))
+    | None -> ()
+  in
+  let found =
+    Super.Campaign.with_fleet ?fleet (fun fl ->
+        let chunk = nbs * max 2 (Fleet.jobs fl) in
+        let rec round base =
+          if base >= budget then None
+          else
+            match
+              Super.Campaign.map ~fleet:fl
+                (Array.init (min chunk (budget - base)) (fun i ->
+                     slot (base + i)))
+            with
+            | _ -> round (base + chunk)
+            | exception Hit (k, tc, d) -> Some (k, tc, d)
+        in
+        round 0)
+  in
+  match found with
   | None ->
     {
       o_isa = isa;
@@ -76,68 +83,12 @@ let hunt_fleet ~cfg fl ~isa ~seed ~budget : outcome =
     let d' =
       match Oracle.run_pair spec cfg s_tc ~buildset:bs with
       | Some d' -> d'
-      | None -> d
+      | None -> d (* cannot happen: shrinking preserves divergence *)
     in
     {
       o_isa = isa;
       o_programs = (k / nbs) + 1;
       o_execs = k + 1;
-      o_found = Some (tc, d);
-      o_shrunk = Some (s_tc, d');
-      o_shrink_tests = s_tests;
-    }
-
-(** [hunt ?cfg ?fleet ~isa ~seed ~budget ()] searches for a divergence,
-    stopping at the first one found (then shrinking it) or when [budget]
-    oracle executions are spent. [fleet] parallelizes the search over a
-    domain pool; the outcome is identical to the sequential scan. *)
-let hunt ?(cfg = Oracle.default_config) ?fleet ~isa ~seed ~budget () : outcome
-    =
-  match fleet with
-  | Some fl when Fleet.jobs fl > 1 -> hunt_fleet ~cfg fl ~isa ~seed ~budget
-  | _ ->
-  let spec = spec_of_isa isa in
-  let cx = Gen.make_ctx ~isa spec in
-  let execs = ref 0 in
-  let programs = ref 0 in
-  let found = ref None in
-  let index = ref 0 in
-  while !found = None && !execs < budget do
-    let tc = Gen.generate cx ~seed ~index:!index in
-    incr programs;
-    incr index;
-    List.iter
-      (fun bs ->
-        if !found = None && !execs < budget then begin
-          incr execs;
-          match Oracle.run_pair spec cfg tc ~buildset:bs with
-          | Some d -> found := Some (tc, d)
-          | None -> ()
-        end)
-      cfg.Oracle.buildsets
-  done;
-  match !found with
-  | None ->
-    {
-      o_isa = isa;
-      o_programs = !programs;
-      o_execs = !execs;
-      o_found = None;
-      o_shrunk = None;
-      o_shrink_tests = 0;
-    }
-  | Some (tc, d) ->
-    let bs = d.Oracle.d_buildset in
-    let { Shrink.s_tc; s_tests } = Shrink.shrink spec cfg ~buildset:bs tc in
-    let d' =
-      match Oracle.run_pair spec cfg s_tc ~buildset:bs with
-      | Some d' -> d'
-      | None -> d (* cannot happen: shrinking preserves divergence *)
-    in
-    {
-      o_isa = isa;
-      o_programs = !programs;
-      o_execs = !execs;
       o_found = Some (tc, d);
       o_shrunk = Some (s_tc, d');
       o_shrink_tests = s_tests;

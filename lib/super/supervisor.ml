@@ -59,66 +59,6 @@ let of_registry (reg : Obs.Registry.t) : stats =
 
 let unregistered () = of_registry (Obs.Registry.create ())
 
-(** Domain-local worker state for fleet-parallel campaign drivers: an
-    {!Obs} context mirroring the caller's instrumentation and
-    supervision counters registered on that worker's own registry.
-    Tasks receive only their executing worker's context, so a
-    cross-domain counter increment is unrepresentable — the campaign
-    joins workers back with {!join_worker_ctx} when the batch drains. *)
-type worker_ctx = {
-  wc_obs : Obs.t option;
-  wc_stats : stats option;
-}
-
-let mirror_obs (o : Obs.t) =
-  let prof =
-    Option.map
-      (fun p -> Obs.Prof.create ~region_bits:(Obs.Prof.region_bits p) ())
-      o.Obs.prof
-  in
-  if o.Obs.full then Obs.create ~trace:(o.Obs.ring <> None) ?prof ()
-  else Obs.profile_only ?prof ()
-
-(** [worker_ctx ?obs ?stats ()] — a worker's private mirror of the
-    campaign instrumentation: present exactly when the caller's is. *)
-let worker_ctx ?obs ?stats () =
-  let wc_obs = Option.map mirror_obs obs in
-  let wc_stats =
-    match stats with
-    | None -> None
-    | Some _ ->
-      let reg =
-        match wc_obs with
-        | Some o -> o.Obs.reg
-        | None -> Obs.Registry.create ()
-      in
-      Some (of_registry reg)
-  in
-  { wc_obs; wc_stats }
-
-(** [join_worker_ctx ?obs ?stats ~into ws] folds a worker's counters
-    back into the campaign's. With an [obs] context the whole worker
-    registry (super.* included, since worker stats register there)
-    merges in one {!Obs.merge} into [into]; with only [stats], the
-    supervision counters transfer field-by-field. Either way the totals
-    are exactly what one domain would have counted. *)
-let join_worker_ctx ?obs ?stats ~into (ws : worker_ctx) =
-  (match (obs, ws.wc_obs) with
-  | Some _, Some wo -> Obs.merge ~into wo
-  | _ -> ());
-  match (obs, stats, ws.wc_stats) with
-  | None, Some (d : stats), Some (s : stats) ->
-    let tr get = Obs.Registry.add (get d) (Obs.Registry.get (get s)) in
-    tr (fun x -> x.s_cases);
-    tr (fun x -> x.s_retries);
-    tr (fun x -> x.s_transient);
-    tr (fun x -> x.s_gave_up);
-    tr (fun x -> x.s_quarantined);
-    tr (fun x -> x.s_demotions);
-    tr (fun x -> x.s_replays);
-    tr (fun x -> x.s_slices)
-  | _ -> ()
-
 type 'a outcome =
   | Done of 'a * int  (** result, attempts used *)
   | Gave_up of Taxonomy.failure * int

@@ -283,6 +283,20 @@ if [ "$(ls "$fleetdir/q1" | sort)" != "$(ls "$fleetdir/q4" | sort)" ] \
   exit 1
 fi
 
+echo "== fleet: --jobs 4 must journal the same inject cells --jobs 1 does =="
+for j in 1 4; do
+  dune exec bin/lisim.exe -- inject --isa all --budget 20000 --jobs "$j" \
+    --journal "$fleetdir/inject$j.jsonl" --quarantine "$fleetdir/iq$j" >"$tmp"
+done
+c1=$(grep '"kind":"case"' "$fleetdir/inject1.jsonl" | sort)
+c4=$(grep '"kind":"case"' "$fleetdir/inject4.jsonl" | sort)
+if [ "$(printf '%s\n' "$c1" | wc -l)" -ne 4 ] || [ "$c1" != "$c4" ]; then
+  echo "FAIL: parallel inject journal diverges from sequential" >&2
+  echo "  jobs=1:" >&2; printf '%s\n' "$c1" >&2
+  echo "  jobs=4:" >&2; printf '%s\n' "$c4" >&2
+  exit 1
+fi
+
 echo "== fleet: --jobs 0 must be rejected with exit 2 =="
 if dune exec bin/lisim.exe -- fuzz --isa tiny --budget 1 --jobs 0 \
     >/dev/null 2>"$tmp"; then
