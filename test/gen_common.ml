@@ -61,7 +61,7 @@ let demo_spec () = Lazy.force Demo_isa.spec
 (** Run [program] under buildset [bs]; returns the interface (for stats)
     plus (exit status, instructions retired). [patch] runs after the
     image is loaded, before execution — used to pre-stage data. *)
-let run_demo ?(patch = fun _ -> ()) bs program =
+let run_demo ?(patch = fun _ -> ()) ?(drive = Specsim.Iface.run_n) bs program =
   let spec = demo_spec () in
   let iface = Specsim.Synth.make spec bs in
   let st = iface.st in
@@ -72,10 +72,32 @@ let run_demo ?(patch = fun _ -> ()) bs program =
   Demo_isa.load_program st ~base:0x1000L program;
   patch st;
   let budget = 1_000_000 in
-  let executed = Specsim.Iface.run_n iface budget in
+  let executed = drive iface budget in
   if executed >= budget && not st.halted then
     Alcotest.fail "program did not terminate";
   (iface, Machine.State.exit_status st, st.instr_count)
+
+(** [step_n iface budget] drives [iface] the way a timing model does:
+    every entrypoint of every instruction in order on one DI record,
+    then retire; returns the number retired. *)
+let step_n (iface : Specsim.Iface.t) budget =
+  let st = iface.st in
+  let start = st.instr_count in
+  let n_eps = Specsim.Iface.n_entrypoints iface in
+  let di = Specsim.Di.create ~info_slots:iface.slots.di_size in
+  let executed () = Int64.to_int (Int64.sub st.instr_count start) in
+  while (not st.halted) && executed () < budget do
+    di.pc <- st.pc;
+    di.instr_index <- -1;
+    di.fault <- None;
+    let k = ref 0 in
+    while !k < n_eps && not st.halted do
+      iface.step di !k;
+      incr k
+    done;
+    if not st.halted then iface.retire di
+  done;
+  executed ()
 
 (* ----------------------------------------------------------------- *)
 (* Single-instruction harness (ISA semantics property tests)           *)

@@ -155,6 +155,126 @@ let prop_arm_add_flags =
       in
       run_arm_adds ~a ~b = (result, n, z, c, v))
 
+(* ----------------------------------------------------------------- *)
+(* Translation validation: encoding-specialized code == the IR         *)
+(* ----------------------------------------------------------------- *)
+
+(* Every interface runs instruction sites compiled from
+   [Opt.optimize ~enc ~keep] of the class's decode-plus-sequence IR. For
+   every class of every shipped ISA, a random encoding of that class is
+   run from random register and memory state twice: once by the
+   reference interpreter on the unspecialized IR, once by the compiled,
+   specialized site. Registers, memory, next pc, fault and the visible
+   cells must agree. [keep] is the visibility of one_min (most DCE) or
+   one_all (most cells compared), chosen per case. *)
+let data_base = 0x2000L
+let data_words = 256
+
+let chain_ir (spec : Lis.Spec.t) (i : Lis.Spec.instr) =
+  List.concat_map
+    (function
+      | Lis.Spec.A_decode -> i.i_decode | sym -> Specsim.Synth.sym_ir i sym)
+    (Array.to_list spec.sequence)
+
+(* Random machine state, a pure function of [seed]: every register is
+   either a random word or a pointer into a random-filled data region. *)
+let random_machine (spec : Lis.Spec.t) seed =
+  let st = Lis.Spec.make_machine spec in
+  let draw salt = Inject.Prng.draw ~seed ~index:0L ~salt in
+  for w = 0 to data_words - 1 do
+    Machine.Memory.write st.mem
+      ~addr:(Int64.add data_base (Int64.of_int (8 * w)))
+      ~width:8 (draw (1000 + w))
+  done;
+  let regs = st.regs in
+  for c = 0 to Machine.Regfile.class_count regs - 1 do
+    for r = 0 to (Machine.Regfile.class_def regs c).count - 1 do
+      let salt = 10 * ((64 * c) + r) in
+      let v =
+        if Int64.logand (draw salt) 1L = 0L then draw (salt + 1)
+        else
+          Int64.add data_base
+            (Int64.of_int (Inject.Prng.below ~seed ~index:0L ~salt:(salt + 2) (8 * data_words)))
+      in
+      Machine.Regfile.write regs ~cls:c ~idx:r v
+    done
+  done;
+  st
+
+let run_leg (spec : Lis.Spec.t) (bs : Lis.Spec.buildset) ~seed ~enc
+    (i : Lis.Spec.instr) exec =
+  let st = random_machine spec seed in
+  let slots = Specsim.Slots.make spec bs in
+  let fr =
+    Semir.Frame.create ~di_slots:slots.di_size ~scratch_slots:slots.scratch_size
+  in
+  let pc = 0x1000L in
+  Semir.Frame.set_pc fr pc;
+  Semir.Frame.set_enc fr enc;
+  Semir.Frame.set_next_pc fr (Int64.add pc (Int64.of_int i.i_size));
+  let raised =
+    match exec st fr slots.loc with
+    | () -> "-"
+    | exception e -> Printexc.to_string e
+  in
+  let visible =
+    List.init slots.di_size (fun k -> Machine.Raw.get64 fr.di (8 * k))
+  in
+  ( Inject.Watchdog.regs_digest st.regs,
+    Machine.Memory.digest st.mem,
+    Semir.Frame.next_pc fr,
+    (match st.fault with None -> "-" | Some f -> Machine.Fault.to_string f),
+    raised,
+    visible )
+
+let check_class spec decoder (i : Lis.Spec.instr) idx ~seed ~noise bs =
+  let enc =
+    Int64.logand
+      (Gen_common.encoding_with_noise spec i noise)
+      (if i.i_size >= 8 then -1L
+       else Int64.sub (Int64.shift_left 1L (8 * i.i_size)) 1L)
+  in
+  if Specsim.Decoder.decode decoder enc <> idx then true
+  else begin
+    let ir = chain_ir spec i in
+    let keep c = bs.Lis.Spec.bs_visible.(c) in
+    let reference =
+      run_leg spec bs ~seed ~enc i (fun st fr loc -> Semir.Eval.exec ~loc st fr ir)
+    in
+    let specialized =
+      run_leg spec bs ~seed ~enc i (fun st fr loc ->
+          Semir.Compile.program ~layout:st.regs ~mem_fast_path:true ~loc
+            (Semir.Opt.optimize ~enc ~keep ir)
+            st fr)
+    in
+    if reference = specialized then true
+    else
+      QCheck.Test.fail_reportf "%s %s enc=0x%Lx seed=%Ld: specialized site differs"
+        spec.name i.i_name enc seed
+  end
+
+let prop_specialized_sites (name, spec) =
+  QCheck.Test.make ~count:20
+    ~name:(Printf.sprintf "%s: Opt.optimize ~enc sites match the IR, every class" name)
+    QCheck.(pair int64 bool)
+    (fun (seed, all) ->
+      let spec = Lazy.force spec in
+      let decoder = Specsim.Decoder.make spec in
+      let bs = Lis.Spec.find_buildset spec (if all then "one_all" else "one_min") in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun idx i ->
+             let seed = Inject.Prng.derive ~seed ~salt:idx in
+             let noise = Inject.Prng.draw ~seed ~index:1L ~salt:0 in
+             check_class spec decoder i idx ~seed ~noise bs)
+           spec.instrs))
+
+let isa_specs =
+  [
+    ("alpha", Isa_alpha.Alpha.spec); ("arm", Isa_arm.Arm.spec);
+    ("ppc", Isa_ppc.Ppc.spec); ("riscv", Isa_riscv.Riscv.spec);
+  ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_arm_shifter;
@@ -162,3 +282,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_alpha_zapnot;
     QCheck_alcotest.to_alcotest prop_arm_add_flags;
   ]
+  @ List.map
+      (fun isa -> QCheck_alcotest.to_alcotest (prop_specialized_sites isa))
+      isa_specs

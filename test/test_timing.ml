@@ -422,6 +422,58 @@ let golden_cases =
           Alcotest.(check string) "statistics" expected (stats isa)))
     golden
 
+(* Timing.Directed fetches younger instructions before older stores
+   complete, so on the self-modifying trampoline kernel it can decode a
+   stale instruction word. The exact result record and final machine
+   state pin that stale-fetch behaviour on every ISA. *)
+let trampoline_program =
+  (List.find
+     (fun (k : Workload.Hostile.kernel) -> String.equal k.hname "trampoline")
+     Workload.Hostile.test_suite)
+    .program
+
+let directed_trampoline_stats isa =
+  let l = golden_load isa "step_all" trampoline_program in
+  let r = Timing.Directed.run l.iface ~budget:1_000_000 in
+  Printf.sprintf
+    "instrs=%Ld cycles=%Ld ipc=%h raw=%Ld flushes=%Ld l1i=%h l1d=%h \
+     fault=%s state=%Lx"
+    r.instructions r.cycles r.ipc r.raw_stall_cycles r.branch_flushes
+    r.icache_miss_rate r.dcache_miss_rate
+    (match l.iface.st.fault with
+    | Some f -> Machine.Fault.to_string f
+    | None -> "-")
+    (Machine.Checkpoint.digest l.iface.st)
+
+let trampoline_golden =
+  [
+    ( "alpha",
+      "instrs=849 cycles=1764 ipc=0x1.ecd7f2116a3b3p-2 raw=686 flushes=119 "
+      ^ "l1i=0x1.d96da388960f5p-8 l1d=0x1.2bb512bb512bbp-6"
+      ^ " fault=exit(72) state=f14d62c1c563b7d9" );
+    ( "arm",
+      "instrs=795 cycles=1369 ipc=0x1.2953968882268p-1 raw=384 flushes=119 "
+      ^ "l1i=0x1.661ec6a5122f9p-8 l1d=0x1.2bb512bb512bbp-6"
+      ^ " fault=exit(72) state=67c02ae1ba8149f6" );
+    ( "ppc",
+      "instrs=1014 cycles=1659 ipc=0x1.38f0b92bfa71ep-1 raw=397 flushes=151 "
+      ^ "l1i=0x1.190776ff8f96ap-8 l1d=0x1.1f7047dc11f7p-6"
+      ^ " fault=exit(72) state=7f7e16f5a157d870" );
+    ( "riscv",
+      "instrs=478 cycles=918 ipc=0x1.0a98d1b5437c6p-1 raw=269 flushes=87 "
+      ^ "l1i=0x1.cf26e5c44bfc6p-8 l1d=0x1.47ae147ae147bp-5"
+      ^ " fault=exit(72) state=3778cedbb7a320bc" );
+  ]
+
+let trampoline_golden_cases =
+  List.map
+    (fun (isa, expected) ->
+      Alcotest.test_case (Printf.sprintf "golden directed trampoline %s" isa)
+        `Quick (fun () ->
+          Alcotest.(check string) "result and state" expected
+            (directed_trampoline_stats isa)))
+    trampoline_golden
+
 let test_mix_tiny16_taken_count () =
   let s = Instr_mix.collect_iface (tiny_fallthrough_iface "one_decode") in
   Alcotest.(check int64) "branches" (Int64.of_int never_taken) s.branches;
@@ -457,4 +509,4 @@ let suite =
     Alcotest.test_case "instr mix tiny16 taken count" `Quick
       test_mix_tiny16_taken_count;
   ]
-  @ golden_cases
+  @ golden_cases @ trampoline_golden_cases
