@@ -14,6 +14,9 @@ type t = {
   mutable instr_index : int;  (** decoded instruction id; -1 before decode *)
   mutable fault : Machine.Fault.t option;
   mutable ckpt : int;  (** speculation checkpoint token; -1 if none *)
+  mutable fetched : Tblock.t;
+      (** the translation unit a Step fetch found at [pc]; the later steps
+          of this instruction run its code *)
   info : Bytes.t;
 }
 
@@ -25,6 +28,7 @@ let create ~info_slots =
     instr_index = -1;
     fault = None;
     ckpt = -1;
+    fetched = Tblock.dummy;
     info = Bytes.make (8 * max info_slots 1) '\000';
   }
 
@@ -35,6 +39,7 @@ let clear t =
   t.instr_index <- -1;
   t.fault <- None;
   t.ckpt <- -1;
+  t.fetched <- Tblock.dummy;
   Bytes.fill t.info 0 (Bytes.length t.info) '\000'
 
 (** Number of info slots. *)

@@ -133,6 +133,9 @@ let demote t ~detail =
       "degradation ladder exhausted: the reference level itself failed";
   Checkpoint.restore t.d_st t.d_ckpt;
   Checkpoint.restore t.d_shadow_st t.d_ckpt;
+  (* a restore replaces memory wholesale: the shadow's cached units may
+     no longer match it *)
+  t.d_shadow.Specsim.Iface.flush_code_cache ();
   t.d_idx <- t.d_idx + 1;
   t.d_iface <- synth_level ?obs:t.d_obs ~st:t.d_st t.d_spec t.d_levels.(t.d_idx);
   Option.iter
