@@ -41,6 +41,8 @@ let rec fold_expr (e : Ir.expr) : Ir.expr =
     match c with
     | Const 0L -> b
     | Const _ -> a
+    (* expressions have no effects, so the condition can go *)
+    | _ when a = b -> a
     | _ -> Ite (c, a, b))
   | Load l -> Load { l with addr = fold_expr l.addr }
   | Reg_read r -> Reg_read { r with index = fold_expr r.index }
@@ -131,24 +133,24 @@ let rec prop_block env (stmts : Ir.stmt list) : Ir.stmt list * int64 Imap.t =
       | Ir.Set_cell (c, e) -> (
         let e = fold_expr (prop_expr env e) in
         match e with
-        | Const v -> (Ir.Set_cell (c, e), Imap.add c v env)
-        | _ -> (Ir.Set_cell (c, e), Imap.remove c env))
+        | Const v -> ([ Ir.Set_cell (c, e) ], Imap.add c v env)
+        | _ -> ([ Ir.Set_cell (c, e) ], Imap.remove c env))
       | Store { width; addr; value } ->
-        ( Store
-            {
-              width;
-              addr = fold_expr (prop_expr env addr);
-              value = fold_expr (prop_expr env value);
-            },
+        ( [ Store
+              {
+                width;
+                addr = fold_expr (prop_expr env addr);
+                value = fold_expr (prop_expr env value);
+              } ],
           env )
-      | Set_next_pc e -> (Set_next_pc (fold_expr (prop_expr env e)), env)
+      | Set_next_pc e -> ([ Set_next_pc (fold_expr (prop_expr env e)) ], env)
       | Reg_write { cls; index; value } ->
-        ( Reg_write
-            {
-              cls;
-              index = fold_expr (prop_expr env index);
-              value = fold_expr (prop_expr env value);
-            },
+        ( [ Reg_write
+              {
+                cls;
+                index = fold_expr (prop_expr env index);
+                value = fold_expr (prop_expr env value);
+              } ],
           env )
       | If (c, t, f) ->
         let c = fold_expr (prop_expr env c) in
@@ -158,12 +160,12 @@ let rec prop_block env (stmts : Ir.stmt list) : Ir.stmt list * int64 Imap.t =
         let f, _ = prop_block env f in
         let written = Ir.program_writes (t @ f) in
         let env = List.fold_left (fun m c -> Imap.remove c m) env written in
-        (If (c, t, f), env)
-      | Fault_unaligned e -> (Fault_unaligned (fold_expr (prop_expr env e)), env)
-      | Fault_illegal | Fault_arith _ | Syscall | Halt -> (s, env)
+        (fold_stmt (If (c, t, f)), env)
+      | Fault_unaligned e -> ([ Fault_unaligned (fold_expr (prop_expr env e)) ], env)
+      | Fault_illegal | Fault_arith _ | Syscall | Halt -> ([ s ], env)
     in
     let rest, env = prop_block env rest in
-    (s :: rest, env)
+    (s @ rest, env)
 
 let const_prop (p : Ir.program) : Ir.program = fst (prop_block Imap.empty p)
 
