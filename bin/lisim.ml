@@ -212,29 +212,17 @@ let events_to_string format events =
   | "chrome" -> Obs.Export.to_string (Obs.Export.chrome_of_events events) ^ "\n"
   | _ -> text_of_events events
 
-(* Auxiliary profile passes behind [lisim stats] and [run --stats].
-   When the primary buildset is not block-semantic, the kernel runs once
-   more through a block interface so the block-cache and fused-closure
-   counters are live; then a short timing-first checked window drives
-   the checker.* and timing.* families. All passes share the primary
-   registry (true counters aggregate; gauges are first-registration-wins,
-   so the primary interface keeps the shared "core.*" names), making the
-   printed table one aggregate profile of the kernel. *)
+(* Auxiliary profile passes behind [lisim stats] and [run --stats]: a
+   short timing-first checked window drives the checker.* and timing.*
+   families, and a short supervised window the super.* family. They
+   synthesize no instrumented interface, so every "synth.*" and "core.*"
+   entry describes the primary run alone. *)
 let profile_aux_passes (o : Obs.t) (t : Workload.target)
     (k : Vir.Kernels.sized) ~buildset ~budget =
   (* counters only — auxiliary passes must not pollute the trace ring *)
   let aux = { o with Obs.ring = None } in
   let spec = Lazy.force t.spec in
   let names = Lis.Spec.buildset_names spec in
-  let is_block bs =
-    String.length bs >= 5 && String.equal (String.sub bs 0 5) "block"
-  in
-  (if not (is_block buildset) then
-     match List.find_opt is_block names with
-     | Some bbs ->
-       let lb = Workload.load ~obs:aux t ~buildset:bbs k.program in
-       ignore (Specsim.Iface.run_n lb.iface budget)
-     | None -> ());
   if List.mem "one_min" names then begin
     let lt = Workload.load t ~buildset:"one_min" k.program in
     let lc = Workload.load t ~buildset:"one_min" k.program in
@@ -1122,11 +1110,11 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Run a kernel through an instrumented interface and print the \
-          counter/histogram table: entrypoint crossings and per-segment \
-          latency histograms, block-cache and fused-closure reuse, \
+          counter/histogram table: entrypoint crossings and per-entrypoint \
+          latency histograms, translation-cache and fused-closure reuse, \
           speculation journal, timing-model and checker counters. The \
-          profile aggregates the primary run with a block-translation pass \
-          and a short timing-first checked window.")
+          timing-model and checker counters come from a short timing-first \
+          checked window after the primary run.")
     Term.(const run $ isa_arg $ buildset_arg $ kernel_arg $ budget)
 
 (* ---------------- validate --------------------------------------- *)

@@ -193,7 +193,8 @@ let buildset_to_ocaml (spec : Lis.Spec.t) (bs_name : string) : string =
       (fun (_, syms) -> Synth.segments_of_entrypoint syms)
       bs.bs_entrypoints
   in
-  (* replicate the synthesizer's per-segment optimized IR *)
+  (* one function per class and segment: the segment's optimized IR,
+     not specialized to an encoding *)
   let flat_segs = Array.to_list ep_segs |> List.concat in
   let flat = Array.of_list flat_segs in
   let n_segs = Array.length flat in

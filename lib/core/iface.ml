@@ -16,16 +16,16 @@
     [rollback] / [redirect]. *)
 
 type stats = {
-  mutable blocks_compiled : int;
+  mutable blocks_compiled : int;  (** translation units (one site outside block mode) *)
   mutable block_hits : int;
       (** block dispatches served from the cache (chained or probed) *)
   mutable block_invalidations : int;
       (** [flush_code_cache] calls plus blocks killed by code writes *)
   mutable sites_compiled : int;
-      (** specialized per-site closures built (block mode) *)
+      (** encoding-specialized sites built, in every call style *)
   mutable site_cache_hits : int;
       (** site compilations avoided by the shared [(instr, encoding)]
-          translation cache *)
+          translation cache, in every call style *)
   mutable chain_taken : int;
       (** block dispatches resolved by a predecessor's successor cache *)
   mutable chain_miss : int;
@@ -35,8 +35,9 @@ type stats = {
       (** synthesis-time cost of the abstract-interpretation pass that
           gates the store-free optimizations (0 when disabled) *)
   mutable fastpath_classes : int;
-      (** instruction classes granted the memory fast path because the
-          analysis proved them store- and syscall-free *)
+      (** outside block mode, the instruction classes the analysis
+          proved store- and syscall-free (reported; every site now has
+          the memory fast path) *)
   mutable stable_blocks : int;
       (** translated blocks whose mid-run SMC recheck was elided: every
           site is statically store-free, so the block cannot invalidate
@@ -51,14 +52,17 @@ type t = {
   journal : Specul.t option;
   entry_names : string array;
   run_one : Di.t -> unit;
-      (** execute the instruction at the current fetch pc; commits state
-          and advances the fetch pc *)
+      (** execute the instruction at the current fetch pc (the first
+          site of its translation unit); commits state and advances the
+          fetch pc *)
   run_block : unit -> Di.t array * int;
       (** execute a basic block at the current fetch pc; returns the DI
           records (engine-owned, valid until the next call) and the count *)
   step : Di.t -> int -> unit;
       (** [step di k] runs entrypoint [k] for [di]; the caller owns fetch
-          redirection and retirement *)
+          redirection and retirement. A fetching entrypoint records the
+          translation unit at [di.pc] on [di]; later entrypoints run its
+          code. *)
   retire : Di.t -> unit;
       (** commit a stepped instruction: advance fetch pc to [di.next_pc]
           and count it as retired *)
@@ -67,7 +71,8 @@ type t = {
   rollback : int -> unit;
   commit_ckpt : int -> unit;
   flush_code_cache : unit -> unit;
-      (** drop compiled blocks (needed after writing code memory) *)
+      (** drop translation units (needed after replacing memory
+          wholesale, e.g. a checkpoint restore) *)
   run_fast : int -> int;
       (** [run_fast n] executes at least [n] instructions (rounding up to
           a block boundary) through the fastest dispatch path of this

@@ -63,23 +63,26 @@ let words_per_instr ?(run = drive) (t : Workload.target) bs =
   !words /. float_of_int !instrs
 
 (* (ISA, buildset, ceiling). Measured on OCaml 5.1.1 without flambda:
-   block_min 1.07 / 1.37 / 1.11 / 1.28, one_min 12.40 / 12.37 / 12.39 /
-   12.42, step_all 12.73 / 12.74 / 12.77 / 14.36 (alpha / arm / ppc /
-   riscv). *)
+   block_min 1.00 / 1.27 / 1.06 / 1.22 (ceilings kept from the 1.07 /
+   1.37 / 1.11 / 1.28 measured before One and Step ran the block
+   engine's units), one_min 6.23 / 6.42 / 6.17 /
+   6.17, step_all 6.20 / 6.32 / 6.17 / 6.19 (alpha / arm / ppc / riscv).
+   What one_min and step_all still allocate is mostly the boxed int64
+   retired counters, two per instruction. *)
 let ceilings =
   [
     ("alpha", "block_min", 1.13); ("arm", "block_min", 1.44);
     ("ppc", "block_min", 1.17); ("riscv", "block_min", 1.35);
-    ("alpha", "one_min", 13.0); ("arm", "one_min", 13.0);
-    ("ppc", "one_min", 13.0); ("riscv", "one_min", 13.1);
-    ("alpha", "step_all", 13.4); ("arm", "step_all", 13.4);
-    ("ppc", "step_all", 13.4); ("riscv", "step_all", 15.1);
+    ("alpha", "one_min", 6.8); ("arm", "one_min", 7.0);
+    ("ppc", "one_min", 6.7); ("riscv", "one_min", 6.7);
+    ("alpha", "step_all", 6.7); ("arm", "step_all", 6.9);
+    ("ppc", "step_all", 6.7); ("riscv", "step_all", 6.7);
   ]
 
 (* (ISA, organization, ceiling); each organization drives its paired
-   buildset. Measured on OCaml 5.1.1 without flambda: funcfirst 12.32 /
-   12.33 / 12.34 / 12.37, specff 13.06 / 12.32 / 12.09 / 11.97, directed
-   17.45 / 17.38 / 17.32 / 18.61 (alpha / arm / ppc / riscv). *)
+   buildset. Measured on OCaml 5.1.1 without flambda: funcfirst 6.25 /
+   6.43 / 6.18 / 6.19, specff 7.00 / 7.07 / 6.72 / 6.63, directed 10.69 /
+   10.66 / 10.40 / 10.40 (alpha / arm / ppc / riscv). *)
 let organizations =
   [
     ("funcfirst", ("one_decode", funcfirst));
@@ -89,12 +92,12 @@ let organizations =
 
 let timing_ceilings =
   [
-    ("alpha", "funcfirst", 13.0); ("arm", "funcfirst", 13.0);
-    ("ppc", "funcfirst", 13.0); ("riscv", "funcfirst", 13.0);
-    ("alpha", "specff", 13.7); ("arm", "specff", 12.9);
-    ("ppc", "specff", 12.7); ("riscv", "specff", 12.6);
-    ("alpha", "directed", 18.3); ("arm", "directed", 18.2);
-    ("ppc", "directed", 18.2); ("riscv", "directed", 19.5);
+    ("alpha", "funcfirst", 6.8); ("arm", "funcfirst", 7.0);
+    ("ppc", "funcfirst", 6.7); ("riscv", "funcfirst", 6.7);
+    ("alpha", "specff", 7.6); ("arm", "specff", 7.7);
+    ("ppc", "specff", 7.3); ("riscv", "specff", 7.2);
+    ("alpha", "directed", 11.6); ("arm", "directed", 11.6);
+    ("ppc", "directed", 11.3); ("riscv", "directed", 11.3);
   ]
 
 let case ?run (isa, label, bs, ceiling) =

@@ -5,7 +5,8 @@
 # instrumented-run check that the observability counters are live, a
 # profiler check (hot-region table, speedscope flame export, JSONL
 # metrics series, --trace-cap validation), a dispatch-stats check
-# that block chaining and site sharing engage, and a check that a
+# that chaining and site sharing engage in every call style, a check
+# that --stats counts the run's own crossings only, and a check that a
 # malformed fuzz reproducer is rejected with a diagnostic, not a crash.
 # The benchmark's own selftests run right after the test suite.
 set -eu
@@ -151,15 +152,27 @@ if ! grep -q -- "--trace-cap must be positive" "$tmp"; then
   exit 1
 fi
 
-echo "== dispatch: block engine must chain and share sites on a hot loop =="
-dune exec bin/lisim.exe -- run --kernel sort -b block_min --stats >"$tmp"
-for counter in chain_taken site_cache_hits; do
-  if ! grep -E "core\.block_cache\.$counter +[1-9]" "$tmp" >/dev/null; then
-    echo "FAIL: block_min run reported zero $counter" >&2
-    cat "$tmp" >&2
-    exit 1
-  fi
+echo "== dispatch: every call style must chain and share sites on a hot loop =="
+for bs in block_min one_min step_all; do
+  dune exec bin/lisim.exe -- run --kernel sort -b "$bs" --stats >"$tmp"
+  for counter in chain_taken site_cache_hits; do
+    if ! grep -E "core\.block_cache\.$counter +[1-9]" "$tmp" >/dev/null; then
+      echo "FAIL: $bs run reported zero $counter" >&2
+      cat "$tmp" >&2
+      exit 1
+    fi
+  done
 done
+
+echo "== stats: a One run counts one crossing per instruction, exit call included =="
+dune exec bin/lisim.exe -- run --isa alpha --kernel hash_loop -b one_min --stats >"$tmp"
+instrs=$(awk '/ instructions in / { print $1 }' "$tmp")
+calls=$(awk '$1 == "synth.ep.do_in_one.calls" { print $2 }' "$tmp")
+if [ -z "$instrs" ] || [ -z "$calls" ] || [ "$calls" -ne $((instrs + 1)) ]; then
+  echo "FAIL: do_in_one.calls ${calls:-missing} for ${instrs:-missing} instructions" >&2
+  cat "$tmp" >&2
+  exit 1
+fi
 
 echo "== fuzz: a malformed reproducer must exit 2 with a diagnostic =="
 repro=$(mktemp)
