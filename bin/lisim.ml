@@ -1102,7 +1102,10 @@ let stats_cmd =
     let l = Workload.load ~obs:o t ~buildset k.program in
     ignore (Specsim.Iface.run_n l.iface budget);
     profile_aux_passes o t k ~buildset ~budget;
-    Format.printf "%s on %s/%s: instrumented profile@." k.kname isa buildset;
+    Format.printf
+      "%s on %s/%s: instrumented profile (exact counts; .ns histograms time a \
+       jittered 1 in %d calls)@."
+      k.kname isa buildset Obs.Prof.latency_sample_every;
     print_counters o;
     0
   in
@@ -1112,7 +1115,10 @@ let stats_cmd =
          "Run a kernel through an instrumented interface and print the \
           counter/histogram table: entrypoint crossings and per-entrypoint \
           latency histograms, translation-cache and fused-closure reuse, \
-          speculation journal, timing-model and checker counters. The \
+          speculation journal, timing-model and checker counters. Counts \
+          are exact; each .ns latency histogram times a jittered 1-in-64 \
+          sample of its entrypoint's (or block's) calls, so a site's total \
+          time is about its mean times its .calls count. The \
           timing-model and checker counters come from a short timing-first \
           checked window after the primary run.")
     Term.(const run $ isa_arg $ buildset_arg $ kernel_arg $ budget)

@@ -64,3 +64,18 @@ let of_instr (i : Lis.Spec.instr) : kind =
 
 (** [of_spec spec] classifies every instruction, indexed by instruction id. *)
 let of_spec (spec : Lis.Spec.t) : kind array = Array.map of_instr spec.instrs
+
+type visible = {
+  srcs : int array;
+  dests : int array;
+}
+
+let visible ~base ~(slot_of_cell : int array) (k : kind) =
+  let pairs ops =
+    Array.to_list ops
+    |> List.concat_map (fun (cls, id_cell) ->
+           let s = slot_of_cell.(id_cell) in
+           if s < 0 then [] else [ base cls; s ])
+    |> Array.of_list
+  in
+  { srcs = pairs k.src_regs; dests = pairs k.dest_regs }

@@ -3,7 +3,8 @@
     The paper handles speculation by carrying "enough information to roll
     back the architectural effects of each instruction". This journal logs
     the old value of every register and memory write (via {!Semir.Hooks})
-    between checkpoints; [rollback] replays the log backwards.
+    made while a checkpoint is open; [rollback] replays the log
+    backwards.
 
     Tokens are monotonically increasing ints. Checkpoints nest: rolling
     back to an older token undoes everything after it. Committing a token
@@ -93,20 +94,27 @@ let[@inline never] grow_ck t =
   t.ck_pc <- grow_words t.ck_pc;
   t.ck_count <- grow_words t.ck_count
 
+(* Writes are logged only while a region is open: with none, no token
+   could roll them back, and an interface that never checkpoints (Step
+   mode) would grow the log forever. *)
 let record_reg t (st : State.t) flat =
-  let n = t.reg_n in
-  if n >= Array.length t.reg_flat then grow_regs t;
-  Array.unsafe_set t.reg_flat n flat;
-  Raw.set64 t.reg_old (8 * n) (Raw.get64 st.regs.v (8 * flat));
-  t.reg_n <- n + 1
+  if t.ck_n > t.committed then begin
+    let n = t.reg_n in
+    if n >= Array.length t.reg_flat then grow_regs t;
+    Array.unsafe_set t.reg_flat n flat;
+    Raw.set64 t.reg_old (8 * n) (Raw.get64 st.regs.v (8 * flat));
+    t.reg_n <- n + 1
+  end
 
 let record_store t (st : State.t) addr width =
-  let n = t.mem_n in
-  if n >= Array.length t.mem_width then grow_mem t;
-  Raw.set64 t.mem_addr (8 * n) addr;
-  Memory.read_into st.mem ~addr:(Memory.addr_int addr) ~width t.mem_old (8 * n);
-  Array.unsafe_set t.mem_width n width;
-  t.mem_n <- n + 1
+  if t.ck_n > t.committed then begin
+    let n = t.mem_n in
+    if n >= Array.length t.mem_width then grow_mem t;
+    Raw.set64 t.mem_addr (8 * n) addr;
+    Memory.read_into st.mem ~addr:(Memory.addr_int addr) ~width t.mem_old (8 * n);
+    Array.unsafe_set t.mem_width n width;
+    t.mem_n <- n + 1
+  end
 
 (** Hooks to compile into speculative interfaces. *)
 let hooks t : Semir.Hooks.t =
@@ -227,11 +235,13 @@ let register_obs t (obs : Obs.t) =
   probe obs.reg "specul.log_mem_entries" (fun () -> Int t.mem_n)
 
 (** [auto_trim t ~window] keeps at most [window] open checkpoints by
-    committing the oldest, compacting occasionally. The engine calls this
-    once per instruction when it auto-checkpoints, giving speculative
-    interfaces a bounded-memory sliding rollback horizon. *)
+    committing the oldest, compacting once the committed prefix exceeds
+    [window] too. The engine calls this once per instruction when it
+    auto-checkpoints, giving speculative interfaces a bounded-memory
+    sliding rollback horizon: the logs never hold more than [2 * window]
+    checkpoints. *)
 let auto_trim t ~window =
   if t.ck_n - t.committed > window then begin
     commit t (t.base + t.committed);
-    if t.committed > 4096 then compact t
+    if t.committed > window then compact t
   end

@@ -1,7 +1,7 @@
 (** Rollback journal: speculation support synthesized into an interface.
 
     Logs the old value of every architectural write (via {!Semir.Hooks})
-    between checkpoints; [rollback] replays the log backwards. Tokens are
+    made while a checkpoint is open; [rollback] replays the log backwards. Tokens are
     monotonically increasing ints; checkpoints nest. Speculation across a
     syscall is not supported (the OS emulator's buffers are not
     journaled). The hot paths are tuned: this journal is the entire cost
@@ -11,8 +11,10 @@ type t
 
 val create : unit -> t
 
-(** Record the old value of a register / memory word about to be written.
-    Normally called through {!hooks} by compiled code. *)
+(** Record the old value of a register / memory word about to be written,
+    when a region is open (a write with none open cannot be rolled back
+    and is not logged). Normally called through {!hooks} by compiled
+    code. *)
 val record_reg : t -> Machine.State.t -> int -> unit
 
 val record_store : t -> Machine.State.t -> int64 -> int -> unit
@@ -55,5 +57,6 @@ val undo_stats : t -> int * int * int
 val register_obs : t -> Obs.t -> unit
 
 (** [auto_trim t ~window] keeps at most [window] open checkpoints by
-    committing the oldest; called once per instruction by the engine. *)
+    committing the oldest, and compacts once [window] committed ones
+    have gathered; called once per instruction by the engine. *)
 val auto_trim : t -> window:int -> unit

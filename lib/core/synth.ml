@@ -425,17 +425,56 @@ let unit_cache (p : plan) ~mutate ~compile_site ~wrap_site ~(illegal : Tblock.si
 (* --- Observers ---------------------------------------------------- *)
 
 (* Instrumentation is selected at synthesis time — the compiled-in hook
-   pattern. Without a full [obs] context every wrapper is the identity:
-   no flag tests, no extra indirection, the zero-overhead guarantee.
-   With one, every entrypoint crossing is counted and timed into log2
-   histograms, and one event per instruction (or per block) goes to the
-   trace ring when one is attached. Profile-only contexts get only the
-   profiler attribution in {!executor}. *)
+   pattern. Without a full [obs] context every wrapper is the identity
+   and Step calls are not wrapped: no flag tests, no extra indirection,
+   the zero-overhead guarantee. With one, every entrypoint crossing and
+   every block is counted exactly; the latency histograms ([synth.ep.<ep>.ns],
+   [synth.block.ns]) hold a jittered 1-in-64 sample of each site's
+   calls ({!Obs.Sampler}), so the clock is read on sampled calls only,
+   and a site's total time is its mean times its call count. When a
+   trace ring is attached, one event per instruction (or per block)
+   goes to it with its own measured duration. Profile-only contexts get
+   only the profiler attribution in {!executor}. *)
+
+(* The exact counters, samplers and latency histograms of an observed
+   interface's entrypoints. *)
+type crossings = {
+  total : Obs.Registry.counter;  (** [synth.entrypoint_calls] *)
+  calls : Obs.Registry.counter array;  (** per entrypoint, [synth.ep.<ep>.calls] *)
+  samplers : Obs.Sampler.t array;
+  hists : Obs.Hist.t array;  (** per entrypoint, [synth.ep.<ep>.ns] *)
+}
+
+(* One observed crossing of entrypoint [k], [f a b]: the timed unit of
+   Table III, always counted, timed when its sampler fires. It runs on
+   every crossing, so it updates the counters and compares against the
+   threshold as plain record fields (a call into another module is an
+   indirect call in builds without cross-module optimization), and it
+   is inlined where it is used, so a known [f] is called directly. *)
+let[@inline] crossing (c : crossings) k f a b =
+  let calls = Array.unsafe_get c.calls k in
+  let n = calls.n in
+  let sampler = Array.unsafe_get c.samplers k in
+  if n < sampler.next then begin
+    f a b;
+    c.total.n <- c.total.n + 1;
+    calls.n <- calls.n + 1
+  end
+  else begin
+    let t0 = Obs.Clock.now_ns () in
+    f a b;
+    let dt = elapsed_since t0 in
+    c.total.n <- c.total.n + 1;
+    calls.n <- calls.n + 1;
+    Obs.Sampler.fired sampler n;
+    Obs.Hist.record c.hists.(k) dt
+  end
+
 type observers = {
-  full : bool;
+  traced : bool;  (** a ring is attached: its events read the DI records *)
   wrap_site : Semir.Compile.code array -> Semir.Compile.code;  (** whole instruction *)
   wrap_exec : (limit:int -> Di.t -> int) -> limit:int -> Di.t -> int;  (** one unit *)
-  wrap_step : (Di.t -> int -> unit) -> Di.t -> int -> unit;
+  crossings : crossings option;  (** fully observed: what each Step call counts *)
 }
 
 let observers (p : plan) ~obs ~journal (st : State.t) (stats : Iface.stats) =
@@ -443,12 +482,18 @@ let observers (p : plan) ~obs ~journal (st : State.t) (stats : Iface.stats) =
   | Some (o : Obs.t) when o.Obs.full ->
     let module R = Obs.Registry in
     let reg = o.Obs.reg in
-    let crossings = R.counter reg "synth.entrypoint_calls" in
     let per_ep f suffix =
       Array.map (fun (nm, _) -> f reg ("synth.ep." ^ nm ^ suffix)) p.bs.bs_entrypoints
     in
-    let ep_calls = per_ep R.counter ".calls" and ep_hist = per_ep R.histogram ".ns" in
+    let calls = per_ep R.counter ".calls" in
+    let n_eps = Array.length calls in
+    let c =
+      { total = R.counter reg "synth.entrypoint_calls"; calls;
+        samplers = Array.init n_eps Obs.Sampler.create; hists = per_ep R.histogram ".ns" }
+    in
+    let block_calls = R.counter reg "synth.block.calls" in
     let block_hist = R.histogram reg "synth.block.ns" in
+    let block_sampler = Obs.Sampler.create n_eps in
     List.iter
       (fun (name, f) -> R.probe reg name (fun () -> R.Int (f ())))
       ([ ("core.instrs_executed", fun () -> Int64.to_int stats.instrs_executed);
@@ -466,36 +511,38 @@ let observers (p : plan) ~obs ~journal (st : State.t) (stats : Iface.stats) =
           ("core.fused_closure_reuse", fun () ->
               max 0 (Int64.to_int stats.instrs_executed - stats.sites_compiled)) ]);
     Option.iter (fun j -> Specul.register_obs j o) journal;
-    (* one observed entrypoint crossing: the timed unit of Table III *)
-    let crossed k dt =
-      R.incr crossings;
-      R.incr ep_calls.(k);
-      Obs.Hist.record ep_hist.(k) dt
-    in
     (* Block buildsets count each retired site as one crossing of their
-       one entrypoint and time whole blocks; the others count and time
-       each entrypoint segment. *)
+       one entrypoint and time a sample of whole blocks; the others
+       count each entrypoint segment and time a sample of them. *)
     let observed_segs segs st fr =
       let k = ref 0 in
       while !k < Array.length segs && not st.State.halted do
-        let t0 = Obs.Clock.now_ns () in
-        segs.(!k) st fr;
-        crossed !k (elapsed_since t0);
+        crossing c !k (Array.unsafe_get segs !k) st fr;
         incr k
       done
     in
+    let block_crossings = calls.(0) in
     let observed_block exec ~limit (di0 : Di.t) =
-      let t0 = Obs.Clock.now_ns () in
+      let n_calls = block_calls.n in
+      let sampled = n_calls >= block_sampler.next in
+      let timed = sampled || Option.is_some o.Obs.ring in
+      let t0 = if timed then Obs.Clock.now_ns () else 0L in
       let n = exec ~limit di0 in
-      let dt = elapsed_since t0 in
-      R.add crossings n;
-      R.add ep_calls.(0) n;
-      Obs.Hist.record block_hist dt;
-      (match o.Obs.ring with
-      | Some ring when n > 0 ->
-        Obs.Ring.record ring ~ts_ns:t0 ~dur_ns:dt ~name:"block" ~cat:"block"
-          ~args:[ ("pc", Obs.Ring.I di0.pc); ("instrs", Obs.Ring.I (Int64.of_int n)) ]
-      | Some _ | None -> ());
+      block_calls.n <- block_calls.n + 1;
+      c.total.n <- c.total.n + n;
+      block_crossings.n <- block_crossings.n + n;
+      if timed then begin
+        let dt = elapsed_since t0 in
+        if sampled then begin
+          Obs.Sampler.fired block_sampler n_calls;
+          Obs.Hist.record block_hist dt
+        end;
+        match o.Obs.ring with
+        | Some ring when n > 0 ->
+          Obs.Ring.record ring ~ts_ns:t0 ~dur_ns:dt ~name:"block" ~cat:"block"
+            ~args:[ ("pc", Obs.Ring.I di0.pc); ("instrs", Obs.Ring.I (Int64.of_int n)) ]
+        | Some _ | None -> ()
+      end;
       n
     in
     let traced_instr ring exec ~limit (di0 : Di.t) =
@@ -512,21 +559,18 @@ let observers (p : plan) ~obs ~journal (st : State.t) (stats : Iface.stats) =
       end
     in
     {
-      full = true;
+      traced = Option.is_some o.Obs.ring;
       wrap_site = (if p.bs.bs_block then run_segs else observed_segs);
       wrap_exec =
         (match o.Obs.ring with
         | _ when p.bs.bs_block -> observed_block
         | Some ring -> traced_instr ring
         | None -> fun exec -> exec);
-      wrap_step =
-        (fun step di k ->
-          let t0 = Obs.Clock.now_ns () in
-          step di k;
-          crossed k (elapsed_since t0));
+      crossings = Some c;
     }
   | Some _ | None ->
-    { full = false; wrap_site = run_segs; wrap_exec = Fun.id; wrap_step = Fun.id }
+    { traced = false; wrap_site = run_segs; wrap_exec = Fun.id;
+      crossings = None }
 
 (* --- Executor ----------------------------------------------------- *)
 
@@ -691,16 +735,19 @@ let executor (p : plan) ~(cache : cache) ~(obs : observers) ~prof ~journal
     if Raw.get64 ftmp next_pc_off <> di.next_pc then
       di.next_pc <- boxed_next_pc b 1
   in
+  let step_body (di : Di.t) k =
+    if not st.halted then begin
+      if p.ep_fetch.(k) then fetch di;
+      if p.ep_decode.(k) then decode di
+      else if p.ep_ir.(k) && di.instr_index < 0 then interface_error di "decode";
+      if p.ep_ir.(k) && not st.halted then run_segment di k
+    end;
+    di.fault <- st.fault
+  in
   let step =
-    obs.wrap_step (fun (di : Di.t) k ->
-        if not st.halted then begin
-          if p.ep_fetch.(k) then fetch di;
-          if p.ep_decode.(k) then decode di
-          else if p.ep_ir.(k) && di.instr_index < 0 then
-            interface_error di "decode";
-          if p.ep_ir.(k) && not st.halted then run_segment di k
-        end;
-        di.fault <- st.fault)
+    match obs.crossings with
+    | None -> step_body
+    | Some c -> fun di k -> crossing c k step_body di k
   in
   let retire (di : Di.t) =
     st.pc <- di.next_pc;
@@ -712,13 +759,23 @@ let executor (p : plan) ~(cache : cache) ~(obs : observers) ~prof ~journal
   in
 
   (* [run_fast] loops over units: journaled interfaces (checkpoints ride
-     on DI records) and fully observed ones fill the engine ring, the
-     rest run bare sites. A call returns after at most [n] instructions
-     plus block slack — the preemption point watchdogs rely on. *)
+     on DI records) and traced ones (ring events read them) fill the
+     engine ring, the rest run bare sites, counted by the observers when
+     fully observed. A call returns after at most [n] instructions plus
+     block slack — the preemption point watchdogs rely on. *)
   let no_di = Di.create ~info_slots:0 in
   let run_unit =
-    if Option.is_some journal || obs.full then fun () ->
+    if Option.is_some journal || obs.traced then fun () ->
       ignore (exec ~limit:max_int !dis.(0))
+    else if Option.is_some obs.crossings then begin
+      let bare =
+        obs.wrap_exec (fun ~limit di0 ->
+            run_sites ~fill:false ~limit di0 (cache.dispatch st.pc))
+      in
+      fun () ->
+        let pc = st.pc in
+        note ~pc (bare ~limit:max_int no_di)
+    end
     else
       match prof with
       | None ->
@@ -744,7 +801,13 @@ let executor (p : plan) ~(cache : cache) ~(obs : observers) ~prof ~journal
         ~context:[ ("isa", p.spec.name); ("buildset", p.bs.bs_name) ]
         "interface was synthesized without speculation"
   in
-  { Iface.spec = p.spec; bs = p.bs; st; slots; journal;
+  let kinds = Classify.of_spec p.spec in
+  let operands =
+    Array.map
+      (Classify.visible ~base:(Regfile.base st.regs) ~slot_of_cell:slots.di_slot_of_cell)
+      kinds
+  in
+  { Iface.spec = p.spec; bs = p.bs; st; slots; journal; kinds; operands;
     entry_names = Array.map fst p.bs.bs_entrypoints;
     run_one; run_block; step; retire; run_fast;
     redirect = (fun pc -> st.pc <- pc);

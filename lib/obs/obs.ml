@@ -30,6 +30,7 @@ module Ring = Ring
 module Registry = Registry
 module Export = Export
 module Prof = Prof
+module Sampler = Sampler
 module Metrics = Metrics
 
 type t = {

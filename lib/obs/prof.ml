@@ -91,6 +91,12 @@ let default_region_bits = 6
 let default_half_life = 32_768
 let default_sample_ns_every = 1_024
 
+(** Mean gap, in calls, between the timed calls of one call site of an
+    observed interface ({!Sampler}): its latency histogram holds a
+    jittered 1-in-64 sample of the calls, while its call counter stays
+    exact. *)
+let latency_sample_every = 64
+
 let dummy_rec () =
   {
     i_instrs = 0;

@@ -77,17 +77,8 @@ let clear (s : slot) =
   s.decoded <- false;
   s.syscall <- false
 
-(* [operands iface regs ops] is the [(class base, DI slot)] pairs, laid
-   out flat, of the operands in [ops] this interface makes visible. *)
-let operands (iface : Specsim.Iface.t) regs (ops : (int * Semir.Ir.cell) array) =
-  Array.to_list ops
-  |> List.concat_map (fun (cls, id_cell) ->
-         let s = iface.slots.di_slot_of_cell.(id_cell) in
-         if s < 0 then [] else [ Machine.Regfile.base regs cls; s ])
-  |> Array.of_list
-
-(* Write the flat register ids of [ops] (from {!operands}) read from
-   [di] into [dst]; returns their count. *)
+(* Write the flat register ids of [ops] (a {!Specsim.Classify.visible}
+   list) read from [di] into [dst]; returns their count. *)
 let fill (dst : int array) (ops : int array) (di : Specsim.Di.t) =
   let n = Array.length ops / 2 in
   for j = 0 to n - 1 do
@@ -100,18 +91,12 @@ let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
     invalid_arg
       "Directed.run: needs a seven-entrypoint Step interface (e.g. step_all)";
   let st = iface.st in
-  let kinds = Specsim.Classify.of_spec iface.spec in
-  let regs = st.regs in
-  let srcs_of =
-    Array.map (fun (k : Specsim.Classify.kind) -> operands iface regs k.src_regs) kinds
-  in
-  let dests_of =
-    Array.map (fun (k : Specsim.Classify.kind) -> operands iface regs k.dest_regs) kinds
-  in
+  let kinds = iface.kinds and operands = iface.operands in
   let max_operands =
     Array.fold_left
-      (fun m ops -> max m (Array.length ops / 2))
-      0 (Array.append srcs_of dests_of)
+      (fun m (v : Specsim.Classify.visible) ->
+        max m (max (Array.length v.srcs) (Array.length v.dests) / 2))
+      0 operands
   in
   let l1i = Cache.create config.l1i in
   let l1d = Cache.create config.l1d in
@@ -193,8 +178,8 @@ let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
         if (not st.halted) && i >= 0 then begin
           let k = kinds.(i) in
           id.syscall <- k.is_syscall;
-          id.n_srcs <- fill id.srcs srcs_of.(i) id.di;
-          id.n_dests <- fill id.dests dests_of.(i) id.di;
+          id.n_srcs <- fill id.srcs operands.(i).srcs id.di;
+          id.n_dests <- fill id.dests operands.(i).dests id.di;
           if k.is_syscall then begin
             (* serialize: squash the younger fetch, stop fetching *)
             clear stages.(0);

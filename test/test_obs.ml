@@ -1,8 +1,9 @@
 (** Observability layer: ring wrap-around and ordering, histogram bucket
     boundaries and merge, counter/snapshot isolation, exporter round
-    trips (JSONL and the Chrome trace-event format), and a qcheck
-    property tying entrypoint-crossing counts to executed instructions
-    for every buildset of the alpha ISA. *)
+    trips (JSONL and the Chrome trace-event format), a qcheck property
+    tying entrypoint-crossing counts to executed instructions for every
+    buildset of the alpha ISA, and the sampled latency histograms of
+    fully observed interfaces. *)
 
 (* ---------------- ring buffer ------------------------------------ *)
 
@@ -369,6 +370,136 @@ let test_crossings_property =
           | None -> false)
         buildsets)
 
+(* ---------------- sampled latency -------------------------------- *)
+
+(* Full-Obs interfaces count every crossing but time a jittered 1-in-64
+   sample of each site's calls. The cases: alpha hash_loop through
+   step_all under Timing.Directed (Step calls) and through run_n (whole
+   instructions), one_all and block_min through run_n. *)
+let sampled_budget = 20_000
+
+let hash_loop =
+  List.find (fun (k : Vir.Kernels.sized) -> k.kname = "hash_loop") Vir.Kernels.bench_suite
+
+let sampled_run ?ring_capacity ~bs ~directed () =
+  let o =
+    match ring_capacity with
+    | Some c -> Some (Obs.create ~ring_capacity:c ())
+    | None -> Some (Obs.create ())
+  in
+  let l = Workload.load ?obs:o Workload.alpha ~buildset:bs hash_loop.program in
+  if directed then
+    ignore (Timing.Directed.run l.iface ~budget:sampled_budget)
+  else ignore (Specsim.Iface.run_n l.iface sampled_budget);
+  (l, Option.get o)
+
+let sampled_cases =
+  [ ("step_all", true); ("step_all", false); ("one_all", false); ("block_min", false) ]
+
+let case_name (bs, directed) = bs ^ if directed then " (Directed)" else " (run_n)"
+
+(* The timed sites of a run, as (histogram, its calls): entrypoints on
+   per-instruction buildsets, the block on block buildsets. *)
+let timed_sites (l : Workload.loaded) snap =
+  let calls name = Option.value ~default:0 (Obs.Registry.find_int snap name) in
+  let hist name =
+    match Obs.Registry.find snap name with
+    | Some (Obs.Registry.Histogram h) -> h
+    | _ -> Alcotest.failf "%s missing" name
+  in
+  if l.iface.bs.bs_block then
+    [ ("synth.block", hist "synth.block.ns", calls "synth.block.calls") ]
+  else
+    Array.to_list l.iface.entry_names
+    |> List.map (fun ep ->
+           let base = "synth.ep." ^ ep in
+           (base, hist (base ^ ".ns"), calls (base ^ ".calls")))
+
+let test_sampled_counts () =
+  List.iter
+    (fun ((bs, directed) as case) ->
+      let l, o = sampled_run ~bs ~directed () in
+      let snap = Obs.snapshot o in
+      let name = case_name case in
+      let executed = Int64.to_int l.iface.stats.instrs_executed in
+      Alcotest.(check bool) (name ^ ": ran the budget") true (executed >= sampled_budget);
+      (* counts stay exact: every crossing of every entrypoint *)
+      let ep_calls =
+        Array.to_list l.iface.entry_names
+        |> List.map (fun ep ->
+               Option.get (Obs.Registry.find_int snap ("synth.ep." ^ ep ^ ".calls")))
+      in
+      Alcotest.(check (option int)) (name ^ ": crossings = sum of entrypoint calls")
+        (Some (List.fold_left ( + ) 0 ep_calls))
+        (Obs.Registry.find_int snap "synth.entrypoint_calls");
+      if l.iface.bs.bs_block then
+        Alcotest.(check (list int)) (name ^ ": one crossing per instruction")
+          [ executed ] ep_calls
+      else if not directed then
+        List.iter
+          (fun c -> Alcotest.(check int) (name ^ ": one call per instruction") executed c)
+          ep_calls;
+      (* timing is a sample of every site that ran *)
+      let sites = timed_sites l snap in
+      List.iter
+        (fun (site, h, calls) ->
+          let n = Obs.Hist.count h in
+          Alcotest.(check bool) (Printf.sprintf "%s: %s was called" name site) true
+            (calls > 1000);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s has %d samples of %d calls (want %d..%d)" name site n
+               calls (calls / 128) (calls / 32))
+            true
+            (n >= 1 && n >= calls / 128 && n <= calls / 32))
+        sites;
+      (* and the sample is deterministic *)
+      let l', o' = sampled_run ~bs ~directed () in
+      let counts l o =
+        List.map (fun (site, h, calls) -> (site, Obs.Hist.count h, calls))
+          (timed_sites l (Obs.snapshot o))
+      in
+      Alcotest.(check (list (triple string int int)))
+        (name ^ ": identical runs sample identically")
+        (counts l o) (counts l' o'))
+    sampled_cases
+
+(* A ring still gets one event per instruction (per block on block
+   buildsets), each with its own duration. *)
+let test_sampled_ring () =
+  List.iter
+    (fun bs ->
+      let l, o = sampled_run ~ring_capacity:(4 * sampled_budget) ~bs ~directed:false () in
+      let events = Obs.events o in
+      let snap = Obs.snapshot o in
+      let want =
+        if l.iface.bs.bs_block then Option.get (Obs.Registry.find_int snap "synth.block.calls")
+        else Int64.to_int l.iface.stats.instrs_executed
+      in
+      Alcotest.(check int) (bs ^ ": one ring event per unit") want (List.length events))
+    [ "step_all"; "one_all"; "block_min" ]
+
+(* Without a ring a fully observed interface runs the bare sites, no DI
+   records: it must end where an unobserved one does. *)
+let test_observed_matches_plain () =
+  List.iter
+    (fun ((bs, directed) as case) ->
+      let observed, _ = sampled_run ~bs ~directed () in
+      let plain = Workload.load Workload.alpha ~buildset:bs hash_loop.program in
+      if directed then ignore (Timing.Directed.run plain.iface ~budget:sampled_budget)
+      else ignore (Specsim.Iface.run_n plain.iface sampled_budget);
+      let name = case_name case in
+      let a = observed.iface.st and b = plain.iface.st in
+      Alcotest.(check bool) (name ^ ": registers") true (Machine.Regfile.equal a.regs b.regs);
+      Alcotest.(check int64) (name ^ ": pc") b.pc a.pc;
+      Alcotest.(check int64) (name ^ ": count") b.instr_count a.instr_count;
+      Alcotest.(check int64) (name ^ ": memory")
+        (Machine.Memory.digest b.mem) (Machine.Memory.digest a.mem);
+      (* every field but the analysis' wall-clock time *)
+      let counts (s : Specsim.Iface.stats) = { s with absint_ns = 0 } in
+      Alcotest.(check bool) (name ^ ": Iface.stats") true
+        (counts observed.iface.stats = counts plain.iface.stats))
+    sampled_cases
+
 let test_twelve_buildsets () =
   (* the property above must quantify over the full paper matrix *)
   let spec = Lazy.force Workload.alpha.spec in
@@ -400,4 +531,8 @@ let suite =
     Alcotest.test_case "chrome export from run" `Quick test_chrome_export_from_run;
     QCheck_alcotest.to_alcotest test_crossings_property;
     Alcotest.test_case "twelve buildsets" `Quick test_twelve_buildsets;
+    Alcotest.test_case "sampled latency, exact counts" `Quick test_sampled_counts;
+    Alcotest.test_case "sampled latency keeps ring events" `Quick test_sampled_ring;
+    Alcotest.test_case "observed run matches plain run" `Quick
+      test_observed_matches_plain;
   ]

@@ -101,6 +101,53 @@ let test_rollback_clears_fault () =
   Specsim.Specul.rollback j st t;
   Alcotest.(check bool) "fault cleared" true (st.fault = None && not st.halted)
 
+(* Writes made with no region open are not logged, and a region opened
+   after them still rolls back to exactly the state they left. *)
+let test_unlogged_then_checkpoint () =
+  let st, j = fresh () in
+  jwrite_reg j st 1 11L;
+  jwrite_mem j st 0x40L 22L;
+  Alcotest.(check (pair int int)) "nothing logged outside a region" (0, 0)
+    (Specsim.Specul.log_sizes j);
+  let t = Specsim.Specul.checkpoint j st in
+  jwrite_reg j st 1 33L;
+  jwrite_reg j st 2 44L;
+  jwrite_mem j st 0x40L 55L;
+  st.pc <- 0x3000L;
+  Specsim.Specul.rollback j st t;
+  Alcotest.(check int64) "r1 as left before the checkpoint" 11L (Regfile.read_flat st.regs 1);
+  Alcotest.(check int64) "r2 as left before the checkpoint" 0L (Regfile.read_flat st.regs 2);
+  Alcotest.(check int64) "memory as left before the checkpoint" 22L
+    (Memory.read st.mem ~addr:0x40L ~width:8);
+  Alcotest.(check int64) "pc restored" 0x1000L st.pc
+
+let spec_run bs run =
+  let k = List.find (fun (k : Vir.Kernels.sized) -> k.kname = "hash_loop") Vir.Kernels.bench_suite in
+  let l = Workload.load Workload.alpha ~buildset:bs k.program in
+  run l.iface;
+  Alcotest.(check bool) (bs ^ ": still running") false l.iface.st.halted;
+  Option.get l.iface.journal
+
+(* Step-mode speculative interfaces never checkpoint on their own: a
+   long timing-directed run must leave the journal empty. *)
+let test_step_spec_log_empty () =
+  let j =
+    spec_run "step_all_spec" (fun i -> ignore (Timing.Directed.run i ~budget:100_000))
+  in
+  Alcotest.(check (pair int int)) "log empty" (0, 0) (Specsim.Specul.log_sizes j);
+  Alcotest.(check int) "no region open" 0 (Specsim.Specul.depth j)
+
+(* The engine's per-instruction checkpoints keep a sliding window: at
+   most 64 open regions, and committed ones compacted away soon after. *)
+let test_auto_window_bounded () =
+  let j = spec_run "one_all_spec" (fun i -> ignore (Specsim.Iface.run_n i 100_000)) in
+  let regs, mems = Specsim.Specul.log_sizes j in
+  Alcotest.(check int) "window of open regions" 64 (Specsim.Specul.depth j);
+  Alcotest.(check bool)
+    (Printf.sprintf "log holds at most two windows (%d regs, %d stores)" regs mems)
+    true
+    (regs + mems <= 2 * 64 * 8)
+
 (* Model-based property: replay a random script of operations against
    both the journal and a list of full snapshots; rollback must agree. *)
 let prop_matches_snapshots =
@@ -159,5 +206,11 @@ let suite =
     Alcotest.test_case "commit-all resets" `Quick test_commit_all_resets;
     Alcotest.test_case "tokens survive compact" `Quick test_tokens_survive_compact;
     Alcotest.test_case "rollback clears fault" `Quick test_rollback_clears_fault;
+    Alcotest.test_case "checkpoint after unlogged writes" `Quick
+      test_unlogged_then_checkpoint;
+    Alcotest.test_case "step-mode spec run keeps the log empty" `Quick
+      test_step_spec_log_empty;
+    Alcotest.test_case "auto-checkpoint window stays bounded" `Quick
+      test_auto_window_bounded;
     QCheck_alcotest.to_alcotest prop_matches_snapshots;
   ]

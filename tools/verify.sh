@@ -6,7 +6,8 @@
 # profiler check (hot-region table, speedscope flame export, JSONL
 # metrics series, --trace-cap validation), a dispatch-stats check
 # that chaining and site sharing engage in every call style, a check
-# that --stats counts the run's own crossings only, and a check that a
+# that --stats counts the run's own crossings only and samples latency
+# (a Step run times 1 in 64 crossings, counting all), and a check that a
 # malformed fuzz reproducer is rejected with a diagnostic, not a crash.
 # The benchmark's own selftests run right after the test suite.
 set -eu
@@ -170,6 +171,22 @@ instrs=$(awk '/ instructions in / { print $1 }' "$tmp")
 calls=$(awk '$1 == "synth.ep.do_in_one.calls" { print $2 }' "$tmp")
 if [ -z "$instrs" ] || [ -z "$calls" ] || [ "$calls" -ne $((instrs + 1)) ]; then
   echo "FAIL: do_in_one.calls ${calls:-missing} for ${instrs:-missing} instructions" >&2
+  cat "$tmp" >&2
+  exit 1
+fi
+
+echo "== stats: a Step run counts every crossing and samples its latency =="
+dune exec bin/lisim.exe -- run --isa alpha --kernel hash_loop -b step_all --stats >"$tmp"
+instrs=$(awk '/ instructions in / { print $1 }' "$tmp")
+calls=$(awk '$1 == "synth.ep.step0_fetch.calls" { print $2 }' "$tmp")
+samples=$(awk '$1 == "synth.ep.step0_fetch.ns" && $2 == "count" { print $3 }' "$tmp")
+if [ -z "$instrs" ] || [ -z "$calls" ] || [ "$calls" -ne $((instrs + 1)) ]; then
+  echo "FAIL: step0_fetch.calls ${calls:-missing} for ${instrs:-missing} instructions" >&2
+  cat "$tmp" >&2
+  exit 1
+fi
+if [ -z "$samples" ] || [ "$samples" -le 0 ] || [ "$samples" -gt $((calls / 16)) ]; then
+  echo "FAIL: step0_fetch.ns holds ${samples:-no} samples of $calls calls (want 1..$((calls / 16)))" >&2
   cat "$tmp" >&2
   exit 1
 fi
