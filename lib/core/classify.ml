@@ -62,8 +62,21 @@ let of_instr (i : Lis.Spec.instr) : kind =
   in
   { is_load = ld; is_store = st; is_branch = br; is_syscall = sy; dest_regs; src_regs }
 
+(* A spec is immutable once loaded, and a program synthesizes many
+   interfaces from one spec (one per timing run or benchmark sample), so
+   the table of the last spec classified is kept and shared: classifying
+   it again is a physical-equality check. Atomic, because domains
+   synthesize in parallel. *)
+let last : (Lis.Spec.t * kind array) option Atomic.t = Atomic.make None
+
 (** [of_spec spec] classifies every instruction, indexed by instruction id. *)
-let of_spec (spec : Lis.Spec.t) : kind array = Array.map of_instr spec.instrs
+let of_spec (spec : Lis.Spec.t) : kind array =
+  match Atomic.get last with
+  | Some (s, kinds) when s == spec -> kinds
+  | _ ->
+    let kinds = Array.map of_instr spec.instrs in
+    Atomic.set last (Some (spec, kinds));
+    kinds
 
 type visible = {
   srcs : int array;
