@@ -63,19 +63,23 @@ let of_instr (i : Lis.Spec.instr) : kind =
   { is_load = ld; is_store = st; is_branch = br; is_syscall = sy; dest_regs; src_regs }
 
 (* A spec is immutable once loaded, and a program synthesizes many
-   interfaces from one spec (one per timing run or benchmark sample), so
-   the table of the last spec classified is kept and shared: classifying
-   it again is a physical-equality check. Atomic, because domains
+   interfaces from a few specs (one per timing run or benchmark sample,
+   often alternating between ISAs), so the tables of the last
+   [cache_size] specs classified are kept and shared: classifying one
+   again is a physical-equality lookup. Atomic, because domains
    synthesize in parallel. *)
-let last : (Lis.Spec.t * kind array) option Atomic.t = Atomic.make None
+let cache_size = 8
+
+let cache : (Lis.Spec.t * kind array) list Atomic.t = Atomic.make []
 
 (** [of_spec spec] classifies every instruction, indexed by instruction id. *)
 let of_spec (spec : Lis.Spec.t) : kind array =
-  match Atomic.get last with
-  | Some (s, kinds) when s == spec -> kinds
-  | _ ->
+  let cached = Atomic.get cache in
+  match List.assq_opt spec cached with
+  | Some kinds -> kinds
+  | None ->
     let kinds = Array.map of_instr spec.instrs in
-    Atomic.set last (Some (spec, kinds));
+    Atomic.set cache ((spec, kinds) :: List.filteri (fun i _ -> i < cache_size - 1) cached);
     kinds
 
 type visible = {

@@ -15,8 +15,8 @@ type kind = {
 val of_instr : Lis.Spec.instr -> kind
 
 (** [of_spec spec] classifies every instruction, indexed by instruction id.
-    The table of the last spec classified is shared between callers, who
-    must not modify it. *)
+    The tables of recently classified specs are shared between callers,
+    who must not modify them. *)
 val of_spec : Lis.Spec.t -> kind array
 
 (** The register operands of one class that an interface makes visible:
