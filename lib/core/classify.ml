@@ -66,20 +66,22 @@ let of_instr (i : Lis.Spec.instr) : kind =
    interfaces from a few specs (one per timing run or benchmark sample,
    often alternating between ISAs), so the tables of the last
    [cache_size] specs classified are kept and shared: classifying one
-   again is a physical-equality lookup. Atomic, because domains
-   synthesize in parallel. *)
+   again is a physical-equality lookup. Ephemerons keep a table only
+   while its spec lives; the list is atomic because domains synthesize
+   in parallel. *)
 let cache_size = 8
 
-let cache : (Lis.Spec.t * kind array) list Atomic.t = Atomic.make []
+let cache : (Lis.Spec.t, kind array) Ephemeron.K1.t list Atomic.t = Atomic.make []
 
 (** [of_spec spec] classifies every instruction, indexed by instruction id. *)
 let of_spec (spec : Lis.Spec.t) : kind array =
   let cached = Atomic.get cache in
-  match List.assq_opt spec cached with
+  match List.find_map (fun e -> Ephemeron.K1.query e spec) cached with
   | Some kinds -> kinds
   | None ->
     let kinds = Array.map of_instr spec.instrs in
-    Atomic.set cache ((spec, kinds) :: List.filteri (fun i _ -> i < cache_size - 1) cached);
+    Atomic.set cache
+      (Ephemeron.K1.make spec kinds :: List.filteri (fun i _ -> i < cache_size - 1) cached);
     kinds
 
 type visible = {
