@@ -51,11 +51,9 @@ type t = {
   slots : Slots.t;
   journal : Specul.t option;
   entry_names : string array;
-  kinds : Classify.kind array;
-      (** per class: its static classification ({!Classify.of_spec}),
-          computed once at synthesis *)
   operands : Classify.visible array;
-      (** per class: the register operands this interface makes visible *)
+      (** per class: the register operands this interface makes visible,
+          computed once at synthesis *)
   run_one : Di.t -> unit;
       (** execute the instruction at the current fetch pc (the first
           site of its translation unit); commits state and advances the

@@ -801,13 +801,12 @@ let executor (p : plan) ~(cache : cache) ~(obs : observers) ~prof ~journal
         ~context:[ ("isa", p.spec.name); ("buildset", p.bs.bs_name) ]
         "interface was synthesized without speculation"
   in
-  let kinds = Classify.of_spec p.spec in
   let operands =
     Array.map
       (Classify.visible ~base:(Regfile.base st.regs) ~slot_of_cell:slots.di_slot_of_cell)
-      kinds
+      (Classify.of_spec p.spec)
   in
-  { Iface.spec = p.spec; bs = p.bs; st; slots; journal; kinds; operands;
+  { Iface.spec = p.spec; bs = p.bs; st; slots; journal; operands;
     entry_names = Array.map fst p.bs.bs_entrypoints;
     run_one; run_block; step; retire; run_fast;
     redirect = (fun pc -> st.pc <- pc);

@@ -21,7 +21,7 @@ type summary = {
     the decoded instruction's own size. *)
 let collect_iface ?(budget = 10_000_000) (iface : Specsim.Iface.t) : summary =
   let spec = iface.spec in
-  let kinds = iface.kinds in
+  let kinds = Specsim.Classify.of_spec spec in
   let n = Array.length spec.instrs in
   let counts = Array.make n 0L in
   let loads = ref 0L

@@ -91,7 +91,7 @@ let run ?(config = default_config) (iface : Specsim.Iface.t) ~budget : result =
     invalid_arg
       "Directed.run: needs a seven-entrypoint Step interface (e.g. step_all)";
   let st = iface.st in
-  let kinds = iface.kinds and operands = iface.operands in
+  let kinds = Specsim.Classify.of_spec iface.spec and operands = iface.operands in
   let max_operands =
     Array.fold_left
       (fun m (v : Specsim.Classify.visible) ->

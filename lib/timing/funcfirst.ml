@@ -57,7 +57,7 @@ let create ?(config = default_config) (iface : Specsim.Iface.t) : t =
     l1i = Cache.create config.l1i;
     l1d = Cache.create config.l1d;
     predictor = Predictor.create config.predictor;
-    kinds = iface.kinds;
+    kinds = Specsim.Classify.of_spec iface.spec;
     ea_slot =
       Option.value ~default:(-1) (Specsim.Iface.slot_of iface "effective_addr");
     cycles = 0;
