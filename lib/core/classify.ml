@@ -62,8 +62,8 @@ let of_instr (i : Lis.Spec.instr) : kind =
   in
   { is_load = ld; is_store = st; is_branch = br; is_syscall = sy; dest_regs; src_regs }
 
-(* A spec is immutable once loaded, and a program synthesizes many
-   interfaces from a few specs (one per timing run or benchmark sample,
+(* A spec is immutable once loaded, and timing models classify it on
+   every run (Directed.run, Funcfirst.create: one per benchmark sample,
    often alternating between ISAs), so the tables of the last
    [cache_size] specs classified are kept and shared: classifying one
    again is a physical-equality lookup. Ephemerons keep a table only
@@ -89,12 +89,12 @@ type visible = {
   dests : int array;
 }
 
-let visible ~base ~(slot_of_cell : int array) (k : kind) =
-  let pairs ops =
-    Array.to_list ops
-    |> List.concat_map (fun (cls, id_cell) ->
-           let s = slot_of_cell.(id_cell) in
-           if s < 0 then [] else [ base cls; s ])
+let visible ~base ~(slot_of_cell : int array) (i : Lis.Spec.instr) =
+  let pairs keep =
+    Array.to_list i.i_operands
+    |> List.concat_map (fun (o : Lis.Spec.operand) ->
+           let s = slot_of_cell.(o.op_id_cell) in
+           if keep o && s >= 0 then [ base o.op_cls; s ] else [])
     |> Array.of_list
   in
-  { srcs = pairs k.src_regs; dests = pairs k.dest_regs }
+  { srcs = pairs (fun o -> o.op_read); dests = pairs (fun o -> o.op_write) }

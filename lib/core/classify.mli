@@ -20,14 +20,15 @@ val of_instr : Lis.Spec.instr -> kind
 val of_spec : Lis.Spec.t -> kind array
 
 (** The register operands of one class that an interface makes visible:
-    for each operand whose id cell has a DI slot, the flat pair
+    for each source (destination) operand, in the order of [src_regs]
+    ([dest_regs]), whose id cell has a DI slot, the pair
     (register-file base of its class, DI slot), laid out flat. *)
 type visible = {
   srcs : int array;
   dests : int array;
 }
 
-(** [visible ~base ~slot_of_cell k] — [k]'s visible operands, given the
+(** [visible ~base ~slot_of_cell i] — [i]'s visible operands, given the
     register file's class bases and the interface's per-cell DI slots
     (-1 when hidden). *)
-val visible : base:(int -> int) -> slot_of_cell:int array -> kind -> visible
+val visible : base:(int -> int) -> slot_of_cell:int array -> Lis.Spec.instr -> visible

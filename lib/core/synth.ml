@@ -804,7 +804,7 @@ let executor (p : plan) ~(cache : cache) ~(obs : observers) ~prof ~journal
   let operands =
     Array.map
       (Classify.visible ~base:(Regfile.base st.regs) ~slot_of_cell:slots.di_slot_of_cell)
-      (Classify.of_spec p.spec)
+      p.spec.instrs
   in
   { Iface.spec = p.spec; bs = p.bs; st; slots; journal; operands;
     entry_names = Array.map fst p.bs.bs_entrypoints;
