@@ -382,16 +382,12 @@ let hash_loop =
   List.find (fun (k : Vir.Kernels.sized) -> k.kname = "hash_loop") Vir.Kernels.bench_suite
 
 let sampled_run ?ring_capacity ~bs ~directed () =
-  let o =
-    match ring_capacity with
-    | Some c -> Some (Obs.create ~ring_capacity:c ())
-    | None -> Some (Obs.create ())
-  in
-  let l = Workload.load ?obs:o Workload.alpha ~buildset:bs hash_loop.program in
+  let o = Obs.create ?ring_capacity () in
+  let l = Workload.load ~obs:o Workload.alpha ~buildset:bs hash_loop.program in
   if directed then
     ignore (Timing.Directed.run l.iface ~budget:sampled_budget)
   else ignore (Specsim.Iface.run_n l.iface sampled_budget);
-  (l, Option.get o)
+  (l, o)
 
 let sampled_cases =
   [ ("step_all", true); ("step_all", false); ("one_all", false); ("block_min", false) ]
